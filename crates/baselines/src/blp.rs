@@ -96,7 +96,10 @@ impl BitlineProfiler {
     pub fn worst_selected_bitline(&self, map: &AddressMap, addr: LineAddr) -> u16 {
         let key = (Self::array_of(map, addr), addr.block_slot());
         match self.counters.get(&key) {
-            // lint: allow(panic-policy) — invariant: per-array counters are a fixed-size nonempty array, max() cannot be None
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: per-array counters are a fixed-size nonempty array, max() cannot be None"
+            )]
             Some(c) => *c.iter().max().expect("fixed-size array"),
             None => 0,
         }

@@ -1,6 +1,11 @@
 //! Criterion bench for end-to-end controller throughput: how many memory
 //! operations per second the simulator sustains under the heaviest scheme.
 
+#![expect(
+    clippy::expect_used,
+    reason = "bench set-up aborts the measurement on a broken invariant"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use ladder_core::LadderVariant;
 use ladder_memctrl::{standard_tables, LadderPolicy, MemCtrlConfig, MemoryController};

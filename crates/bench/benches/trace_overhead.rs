@@ -4,10 +4,15 @@
 //! [`TraceRecorder`] must never allocate. Run by `cargo test --benches`
 //! (one checked iteration) and by `cargo bench` (measured).
 
-// The counting allocator must implement `GlobalAlloc`, which is an unsafe
-// trait; this is the one sanctioned unsafe block in the workspace
-// (`unsafe_code` is denied everywhere else via `[workspace.lints]`).
-#![allow(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "bench set-up aborts the measurement on a broken invariant"
+)]
+#![expect(
+    unsafe_code,
+    reason = "the counting allocator implements the unsafe `GlobalAlloc` trait; \
+              the one sanctioned unsafe block in the workspace"
+)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ladder_memctrl::{standard_tables, FixedWorstPolicy, MemCtrlConfig, MemoryController};

@@ -1,6 +1,11 @@
 //! Criterion benches for the crossbar-physics kernels: the analytic IR-drop
 //! estimator, full table generation, and the exact MNA solver.
 
+#![expect(
+    clippy::expect_used,
+    reason = "bench set-up aborts the measurement on a broken invariant"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use ladder_xbar::{
     analytic, solve_reset, CrossbarParams, PatternSpec, ResetOp, SolverKind, TableConfig,

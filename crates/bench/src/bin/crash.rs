@@ -1,6 +1,11 @@
 //! Regenerates the Section 7 crash-consistency study: write-latency decay
 //! after lazy LRS-metadata correction.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a bench binary reports a broken run invariant by aborting"
+)]
+
 use ladder_bench::BenchArgs;
 use ladder_sim::experiments::crash_recovery;
 

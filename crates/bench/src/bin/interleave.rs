@@ -6,6 +6,11 @@
 //! (policy, scheme) cell — bit-identical at any `--jobs`, which is what
 //! the CI shard smoke stage checks.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a bench binary reports a broken run invariant by aborting"
+)]
+
 use ladder_bench::{report_runner, BenchArgs};
 use ladder_sim::experiments::Workload;
 use ladder_sim::{run_sharded, Interleave, Scheme, SimConfig, Topology};

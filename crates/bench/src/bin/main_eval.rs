@@ -4,6 +4,11 @@
 //!
 //! Pass `--csv DIR` to additionally write one CSV per figure into `DIR`.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a bench binary reports a broken run invariant by aborting"
+)]
+
 use ladder_bench::BenchArgs;
 use ladder_sim::experiments::MainEval;
 

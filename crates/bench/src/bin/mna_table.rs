@@ -6,6 +6,11 @@
 //! This is the expensive end-to-end check of DESIGN.md §2's substitution
 //! argument; expect ~0.5–2 minutes of solver time.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a bench binary reports a broken run invariant by aborting"
+)]
+
 use ladder_bench::BenchArgs;
 use ladder_sim::experiments::ExperimentConfig;
 use ladder_sim::wallclock::Stopwatch;

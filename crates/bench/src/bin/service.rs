@@ -12,6 +12,11 @@
 //! independent stream per channel, folded bit-reproducibly at any
 //! `--jobs`).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a bench binary reports a broken run invariant by aborting"
+)]
+
 use ladder_bench::{report_runner, BenchArgs};
 use ladder_reram::Instant;
 use ladder_sim::experiments::Workload;

@@ -49,8 +49,8 @@ pub const USAGE: &str = "usage: [--quick] [--instructions N] [--seed S] [--jobs 
                     write chrome://tracing JSON to PATH (summary on stderr)
   --arrival A       open-loop arrival process: poisson | bursty
                     (service only; default: sweep both)
-  --zipf T          Zipfian key skew in (0,1), 0 = uniform (service only)
-  --tenants N       tenant count in the service mix (service only)
+  --zipf T          Zipfian key skew in [0,1), 0 = uniform (service only)
+  --tenants N       tenant count (>= 1) in the service mix (service only)
   --load L1,L2,..   offered loads in requests/us to sweep (service only)
 
 Every flag may appear at most once; duplicates are rejected.";
@@ -112,7 +112,7 @@ impl BenchArgs {
     ///
     /// Returns a message naming the offending argument on an unknown
     /// flag, a duplicate flag, a flag missing its value, or an
-    /// unparsable value.
+    /// unparsable or out-of-range value.
     pub fn parse_from(argv: &[String]) -> Result<BenchArgs, String> {
         let mut quick = false;
         let mut instructions: Option<u64> = None;
@@ -170,11 +170,13 @@ impl BenchArgs {
                     i += 2;
                 }
                 "--zipf" => {
-                    set_once(&mut zipf, flag_value(argv, i)?, "--zipf")?;
+                    let theta = flag_value_in(argv, i, |t| (0.0..1.0).contains(t), "0 <= T < 1")?;
+                    set_once(&mut zipf, theta, "--zipf")?;
                     i += 2;
                 }
                 "--tenants" => {
-                    set_once(&mut tenants, flag_value(argv, i)?, "--tenants")?;
+                    let n = flag_value_in(argv, i, |&n: &usize| n >= 1, "N >= 1")?;
+                    set_once(&mut tenants, n, "--tenants")?;
                     i += 2;
                 }
                 "--load" => {
@@ -342,6 +344,26 @@ fn flag_value<T: std::str::FromStr>(argv: &[String], i: usize) -> Result<T, Stri
         .map_err(|_| format!("`{flag}` value `{raw}` is not valid"))
 }
 
+/// [`flag_value`] restricted to the values `valid` accepts; `want`
+/// states the accepted range in the error.
+fn flag_value_in<T: std::str::FromStr>(
+    argv: &[String],
+    i: usize,
+    valid: impl Fn(&T) -> bool,
+    want: &str,
+) -> Result<T, String> {
+    let value = flag_value(argv, i)?;
+    if valid(&value) {
+        Ok(value)
+    } else {
+        Err(format!(
+            "`{}` value `{}` is out of range (want {want})",
+            argv[i],
+            argv[i + 1]
+        ))
+    }
+}
+
 fn cli_args() -> Vec<String> {
     std::env::args().skip(1).collect()
 }
@@ -465,6 +487,17 @@ mod tests {
         let err = parse(&["--arrival", "diagonal"]).unwrap_err();
         assert!(err.contains("--arrival"), "{err}");
         assert_eq!(parse(&["--load", " 4.0 "]).unwrap().load, vec![4.0]);
+        // Out-of-range service knobs are rejected at the boundary instead
+        // of panicking inside the workload generator (or passing silently).
+        for bad in ["1.0", "1.5", "-0.5", "nan", "inf"] {
+            let err = parse(&["--zipf", bad]).unwrap_err();
+            assert!(err.contains("--zipf") && err.contains(bad), "{err}");
+        }
+        let err = parse(&["--tenants", "0"]).unwrap_err();
+        assert!(err.contains("--tenants"), "{err}");
+        assert_eq!(parse(&["--zipf", "0"]).unwrap().zipf, Some(0.0));
+        assert_eq!(parse(&["--zipf", "0.99"]).unwrap().zipf, Some(0.99));
+        assert_eq!(parse(&["--tenants", "1"]).unwrap().tenants, Some(1));
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //! clocks, no ambient state — the same determinism contract as the rest
 //! of the workspace.
 
+// hash-iter: no HashMap/HashSet outside test code (see clippy.toml).
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+
 mod channel;
 mod scheme;
 mod stats;

@@ -78,8 +78,11 @@ impl LrsCounterGroup {
 
     /// The worst-case counter `C^w_lrs = max_i C^i_lrs` that drives the
     /// RESET latency lookup.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: counters is a fixed-size nonempty array, max() cannot be None"
+    )]
     pub fn max(&self) -> u16 {
-        // lint: allow(panic-policy) — invariant: counters is a fixed-size nonempty array, max() cannot be None
         *self.counters.iter().max().expect("fixed-size array")
     }
 

@@ -134,6 +134,10 @@ fn encode_2bit(worst_byte_ones: u16) -> u16 {
 /// The iterator yields the partial-counter byte of every *resident* line of
 /// the group (absent lines are all-zero and may be skipped — zero lines
 /// contribute level 1 per subgroup, which `zero_lines` accounts for).
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: sums is a fixed-size nonempty array, max() cannot be None"
+)]
 pub fn estimate_cw_lrs(partials: impl Iterator<Item = PartialCounters>, zero_lines: usize) -> u16 {
     let mut sums = [0u16; SUBGROUPS];
     for pc in partials {
@@ -145,11 +149,14 @@ pub fn estimate_cw_lrs(partials: impl Iterator<Item = PartialCounters>, zero_lin
     sums.iter()
         .map(|&s| s + zero_contrib)
         .max()
-        // lint: allow(panic-policy) — invariant: sums is a fixed-size nonempty array, max() cannot be None
         .expect("nonempty")
 }
 
 /// Estimates `C^w_lrs` from 1-bit low-precision counters.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: sums is a fixed-size nonempty array, max() cannot be None"
+)]
 pub fn estimate_cw_lrs_low(
     counters: impl Iterator<Item = LowPrecisionCounters>,
     zero_lines: usize,
@@ -164,12 +171,15 @@ pub fn estimate_cw_lrs_low(
     sums.iter()
         .map(|&s| s + zero_contrib)
         .max()
-        // lint: allow(panic-policy) — invariant: sums is a fixed-size nonempty array, max() cannot be None
         .expect("nonempty")
 }
 
 /// Exact `C^w_lrs` of a set of lines, for comparing estimation accuracy
 /// (paper Fig. 15).
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: per_mat is a fixed-size nonempty array, max() cannot be None"
+)]
 pub fn exact_cw_lrs<'a>(lines: impl Iterator<Item = &'a LineData>) -> u16 {
     let mut per_mat = [0u16; LINE_BYTES];
     for data in lines {
@@ -180,7 +190,6 @@ pub fn exact_cw_lrs<'a>(lines: impl Iterator<Item = &'a LineData>) -> u16 {
             }
         }
     }
-    // lint: allow(panic-policy) — invariant: per_mat is a fixed-size nonempty array, max() cannot be None
     *per_mat.iter().max().expect("fixed-size array")
 }
 

@@ -2,6 +2,12 @@
 //! monotone time, and stall accounting under arbitrary traces and arbitrary
 //! (but causal) memory-system behaviour.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder_cpu::{Core, CoreAction, CoreConfig, MemEvent, TraceOp, VecTrace};
 use ladder_reram::{Instant, LineAddr, Picos};
 use proptest::prelude::*;

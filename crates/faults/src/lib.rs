@@ -51,6 +51,9 @@
 //! assert_eq!(mc.stats().retries_issued, mc.stats().failed_verifies);
 //! ```
 
+// hash-iter: no HashMap/HashSet outside test code (see clippy.toml).
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+
 mod model;
 
 pub use model::{CellFaultModel, FaultStats, SharedCellFaultModel};

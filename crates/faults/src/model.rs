@@ -83,9 +83,10 @@ impl FaultStats {
             self.retired_pages
         )
     }
+}
 
-    /// Accumulates another model's counters into this one.
-    pub fn merge(&mut self, other: &FaultStats) {
+impl ladder_trace::Mergeable for FaultStats {
+    fn merge_from(&mut self, other: &Self) {
         self.data_writes = self.data_writes.saturating_add(other.data_writes);
         self.transient_bit_errors = self
             .transient_bit_errors
@@ -98,12 +99,6 @@ impl FaultStats {
         self.data_loss_bits = self.data_loss_bits.saturating_add(other.data_loss_bits);
         self.retired_pages = self.retired_pages.saturating_add(other.retired_pages);
         self.retire_exhausted = self.retire_exhausted.saturating_add(other.retire_exhausted);
-    }
-}
-
-impl ladder_trace::Mergeable for FaultStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
     }
 }
 

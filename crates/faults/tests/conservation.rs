@@ -4,6 +4,11 @@
 //! loss, and an inert injector leaves the controller bit-identical to one
 //! with no injector at all.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder_faults::{CellFaultModel, FaultConfig, SharedCellFaultModel};
 use ladder_memctrl::{standard_tables, FixedWorstPolicy, MemCtrlConfig, MemoryController, Tables};
 use ladder_reram::{AddressMap, Geometry, Instant, LineAddr, LineData, LINE_BYTES};

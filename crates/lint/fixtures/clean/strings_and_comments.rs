@@ -1,7 +1,7 @@
-// path: crates/sim/src/example.rs
-// A comment may talk about HashMap, Instant::now() and thread_rng freely.
-/// Returns documentation text mentioning banned names.
+// path: crates/trace/src/example.rs
+// A comment may mention `x as u32`, `SimConfig { .. }` and `base_ps + adj_ns`.
+/// Returns documentation text mentioning banned constructs.
 pub fn describe() -> &'static str {
-    "HashMap iteration, Instant::now(), thread_rng and .unwrap() in a \
+    "total as u32, SimConfig { trace: true } and base_ps + adj_ns in a \
      string literal are data, not code"
 }

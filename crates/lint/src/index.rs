@@ -16,7 +16,7 @@
 //! produces a bit-identical index (property-tested in
 //! `tests/index_order.rs`).
 
-use crate::lexer::{lex, Lexed, Token, TokenKind};
+use crate::lexer::{lex, Token, TokenKind};
 use crate::rules::{in_spans, test_spans, SourceUnit, Span};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -110,21 +110,20 @@ pub struct SymbolIndex {
 impl SymbolIndex {
     /// Builds the index over already-lexed files. Input order is
     /// irrelevant: files are visited in sorted path order.
-    pub fn build(files: &[(&str, &Lexed)]) -> SymbolIndex {
-        let mut sorted: Vec<&(&str, &Lexed)> = files.iter().collect();
+    pub fn build(files: &[(&str, &[Token])]) -> SymbolIndex {
+        let mut sorted: Vec<&(&str, &[Token])> = files.iter().collect();
         sorted.sort_by(|a, b| a.0.cmp(b.0));
         let mut index = SymbolIndex::default();
-        for (path, lexed) in sorted {
-            let tests = test_spans(&lexed.tokens);
+        for &(path, tokens) in sorted {
+            let tests = test_spans(tokens);
             let mut walker = Walker {
                 file: path,
-                tokens: &lexed.tokens,
+                tokens,
                 tests: &tests,
                 index: &mut index,
             };
-            walker.walk(0, lexed.tokens.len(), &mut Vec::new(), None);
-            let idents = lexed
-                .tokens
+            walker.walk(0, tokens.len(), &mut Vec::new(), None);
+            let idents = tokens
                 .iter()
                 .filter_map(|t| t.ident().map(str::to_string))
                 .collect();
@@ -136,11 +135,11 @@ impl SymbolIndex {
     /// Convenience: lexes `units` and builds the index (used by tests and
     /// the fixture pipeline).
     pub fn from_units(units: &[SourceUnit]) -> SymbolIndex {
-        let lexed: Vec<(String, Lexed)> = units
+        let lexed: Vec<(String, Vec<Token>)> = units
             .iter()
             .map(|u| (u.rel_path.clone(), lex(&u.source)))
             .collect();
-        let refs: Vec<(&str, &Lexed)> = lexed.iter().map(|(p, l)| (p.as_str(), l)).collect();
+        let refs: Vec<(&str, &[Token])> = lexed.iter().map(|(p, t)| (p.as_str(), &t[..])).collect();
         SymbolIndex::build(&refs)
     }
 
@@ -663,7 +662,7 @@ mod tests {
     fn indexes_struct_fields_with_types() {
         let idx = SymbolIndex::from_units(&[unit(
             "crates/x/src/lib.rs",
-            "pub struct EventCounts {\n    pub core_wake: u64,\n    #[allow(dead_code)]\n    pub label: String,\n    pub buckets: [u64; 8],\n}\n",
+            "pub struct EventCounts {\n    pub core_wake: u64,\n    #[doc(hidden)]\n    pub label: String,\n    pub buckets: [u64; 8],\n}\n",
         )]);
         let s = idx.struct_named("EventCounts").unwrap();
         assert_eq!(s.fields.len(), 3);

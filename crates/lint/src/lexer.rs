@@ -6,9 +6,8 @@
 //! strings (plain, raw, byte, raw-byte), char literals, lifetimes, line
 //! and (nested) block comments, identifiers (including raw `r#ident`),
 //! numbers and punctuation. Everything inside strings and comments is
-//! invisible to rules — `"HashMap"` in a string or `// unwrap()` in a
-//! comment never fires a finding — while line comments are captured
-//! separately so the pragma grammar can see them.
+//! invisible to rules — `"SimConfig { .. }"` in a string or `// x as u32`
+//! in a comment never fires a finding.
 
 /// What a scanned token is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,29 +57,6 @@ impl Token {
     }
 }
 
-/// A `//` line comment, captured for the pragma grammar.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: usize,
-    /// 1-based column of the `//` marker (where pragma findings anchor).
-    pub col: usize,
-    /// Whether only whitespace precedes the comment on its line (an
-    /// own-line pragma also covers the following line).
-    pub own_line: bool,
-    /// Text after the `//` marker, untrimmed.
-    pub text: String,
-}
-
-/// The result of scanning one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Code tokens, in source order.
-    pub tokens: Vec<Token>,
-    /// Line comments, in source order.
-    pub comments: Vec<Comment>,
-}
-
 struct Cursor {
     chars: Vec<char>,
     pos: usize,
@@ -127,19 +103,12 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Scans `src` into tokens and line comments.
-pub fn lex(src: &str) -> Lexed {
+/// Scans `src` into code tokens, in source order.
+pub fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);
-    let mut out = Lexed::default();
-    // Whether a token already appeared on the current line (to tell an
-    // own-line comment from a trailing one).
-    let mut line_has_token = false;
-    let mut token_line = 0usize;
+    let mut out = Vec::new();
 
     while let Some(c) = cur.peek() {
-        if cur.line != token_line {
-            line_has_token = false;
-        }
         let (line, col) = (cur.line, cur.col);
         match c {
             ch if ch.is_whitespace() => {
@@ -147,22 +116,9 @@ pub fn lex(src: &str) -> Lexed {
                 continue;
             }
             '/' if cur.peek_at(1) == Some('/') => {
-                cur.bump();
-                cur.bump();
-                let mut text = String::new();
-                while let Some(ch) = cur.peek() {
-                    if ch == '\n' {
-                        break;
-                    }
-                    text.push(ch);
+                while cur.peek().is_some_and(|ch| ch != '\n') {
                     cur.bump();
                 }
-                out.comments.push(Comment {
-                    line,
-                    col,
-                    own_line: !line_has_token,
-                    text,
-                });
                 continue;
             }
             '/' if cur.peek_at(1) == Some('*') => {
@@ -191,7 +147,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             '"' => {
                 scan_string(&mut cur);
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Str,
                     line,
                     col,
@@ -199,11 +155,11 @@ pub fn lex(src: &str) -> Lexed {
             }
             '\'' => {
                 let kind = scan_char_or_lifetime(&mut cur);
-                out.tokens.push(Token { kind, line, col });
+                out.push(Token { kind, line, col });
             }
             'r' | 'b' if starts_string_prefix(&cur) => {
                 let kind = scan_prefixed_literal(&mut cur);
-                out.tokens.push(Token { kind, line, col });
+                out.push(Token { kind, line, col });
             }
             ch if is_ident_start(ch) => {
                 let mut text = String::new();
@@ -214,7 +170,7 @@ pub fn lex(src: &str) -> Lexed {
                     text.push(ch);
                     cur.bump();
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Ident(text),
                     line,
                     col,
@@ -231,7 +187,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     cur.bump();
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Number,
                     line,
                     col,
@@ -239,15 +195,13 @@ pub fn lex(src: &str) -> Lexed {
             }
             ch => {
                 cur.bump();
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Punct(ch),
                     line,
                     col,
                 });
             }
         }
-        line_has_token = true;
-        token_line = line;
     }
     out
 }
@@ -404,7 +358,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter_map(|t| t.ident().map(str::to_string))
             .collect()
@@ -425,45 +378,22 @@ mod tests {
     #[test]
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) -> char { 'x' }";
-        let lexed = lex(src);
-        let lifetimes = lexed
-            .tokens
+        let tokens = lex(src);
+        let lifetimes = tokens
             .iter()
             .filter(|t| t.kind == TokenKind::Lifetime)
             .count();
-        let chars = lexed
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Char)
-            .count();
+        let chars = tokens.iter().filter(|t| t.kind == TokenKind::Char).count();
         assert_eq!((lifetimes, chars), (2, 1));
     }
 
     #[test]
     fn escaped_quote_char_literal() {
         let src = r"let q = '\''; let u = '\u{1F600}'; let n = b'\n';";
-        let lexed = lex(src);
-        let chars = lexed
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Char)
-            .count();
+        let tokens = lex(src);
+        let chars = tokens.iter().filter(|t| t.kind == TokenKind::Char).count();
         assert_eq!(chars, 3);
         assert_eq!(idents(src), vec!["let", "q", "let", "u", "let", "n"]);
-    }
-
-    #[test]
-    fn comments_record_position_and_own_line() {
-        let src = "let x = 1; // trailing\n// own line\nlet y = 2;\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 2);
-        assert_eq!(lexed.comments[0].line, 1);
-        assert_eq!(lexed.comments[0].col, 12);
-        assert!(!lexed.comments[0].own_line);
-        assert_eq!(lexed.comments[1].line, 2);
-        assert_eq!(lexed.comments[1].col, 1);
-        assert!(lexed.comments[1].own_line);
-        assert_eq!(lexed.comments[1].text.trim(), "own line");
     }
 
     #[test]
@@ -483,12 +413,8 @@ mod tests {
     #[test]
     fn positions_are_one_based_and_accurate() {
         let src = "let x = 1;\n  let y = 2;";
-        let lexed = lex(src);
-        let y = lexed
-            .tokens
-            .iter()
-            .find(|t| t.is_ident("y"))
-            .expect("token y");
+        let tokens = lex(src);
+        let y = tokens.iter().find(|t| t.is_ident("y")).expect("token y");
         assert_eq!((y.line, y.col), (2, 7));
     }
 }

@@ -1,29 +1,27 @@
-//! `ladder-lint`: the workspace's determinism & accounting conformance
-//! analyzer.
+//! `ladder-lint`: the workspace's domain-specific conformance analyzer.
 //!
 //! The reproduction's headline guarantees — bit-identical results at any
 //! `--jobs`, golden-trace digests, exact trace↔stats reconciliation — are
-//! structural properties: they hold because no code in the simulation,
-//! fold, or export paths consults iteration-order-unstable containers, the
-//! host clock, or ambient randomness, and because accounting arithmetic
-//! never silently truncates. This crate enforces those invariants as
-//! deny-by-default lint rules over a hand-rolled, string/char/comment-aware
-//! Rust lexer (no `syn` — the workspace builds `--offline` with path-local
-//! dependencies only).
+//! structural properties. The generic half of them (no hash-order
+//! iteration, host clock, ambient randomness or library panics) is
+//! enforced by clippy through `clippy.toml` and the workspace lint table.
+//! This crate enforces the half clippy cannot express — lossy casts in
+//! `impl Mergeable` blocks, bench-binary conformance, builder-only run
+//! configs, and the cross-crate rules — as deny-by-default rules over a
+//! hand-rolled, string/char/comment-aware Rust lexer (no `syn` — the
+//! workspace builds `--offline` with path-local dependencies only).
 //!
 //! Analysis is two-pass ([`rules::analyze_units`]): pass 1 runs the
 //! per-file rules and builds a [`index::SymbolIndex`] over the whole
 //! corpus; pass 2 runs the cross-crate semantic rules (fast/reference
 //! twin discipline, `Mergeable` coverage, time-unit mixing, counter
-//! overflow policy) against that index, and audits every allow-pragma
-//! for liveness (`dead-pragma`).
+//! overflow policy) against that index.
 //!
-//! See DESIGN.md §11/§16 for the rule catalog and the pragma grammar, and
-//! [`rules::RULES`] for the machine-readable version.
+//! See DESIGN.md §11/§16 for the rule catalog, and [`rules::RULES`] for
+//! the machine-readable version.
 
 pub mod index;
 pub mod lexer;
-pub mod pragma;
 pub mod rules;
 pub(crate) mod semantic;
 pub mod workspace;
@@ -94,8 +92,8 @@ impl FixtureReport {
 /// Lints a fixture corpus. Each `.rs` file may carry header comments:
 ///
 /// ```text
-/// // path: crates/sim/src/example.rs
-/// // expect: hash-iter @ 5:23
+/// // path: crates/trace/src/example.rs
+/// // expect: lossy-cast @ 5:7
 /// ```
 ///
 /// `path:` sets the virtual workspace path the path-scoped rules see;
@@ -326,7 +324,7 @@ mod tests {
     #[test]
     fn json_output_is_well_formed() {
         let findings = vec![Finding {
-            rule: "panic-policy",
+            rule: "lossy-cast",
             path: "crates/x/src/lib.rs".to_string(),
             line: 3,
             col: 9,
@@ -341,18 +339,21 @@ mod tests {
 
     #[test]
     fn header_parsing_stops_at_first_code_line() {
-        let src = "// path: crates/sim/src/x.rs\n// expect: hash-iter\nfn main() {}\n// path: not/this.rs\n";
-        assert_eq!(header(src, "path:").as_deref(), Some("crates/sim/src/x.rs"));
-        assert_eq!(header(src, "expect:").as_deref(), Some("hash-iter"));
+        let src = "// path: crates/trace/src/x.rs\n// expect: lossy-cast\nfn main() {}\n// path: not/this.rs\n";
+        assert_eq!(
+            header(src, "path:").as_deref(),
+            Some("crates/trace/src/x.rs")
+        );
+        assert_eq!(header(src, "expect:").as_deref(), Some("lossy-cast"));
         assert_eq!(header("fn main() {}\n// path: x\n", "path:"), None);
     }
 
     #[test]
     fn expectation_grammar_accepts_rule_and_position() {
         assert_eq!(
-            parse_expectation("hash-iter @ 5:23"),
+            parse_expectation("lossy-cast @ 5:23"),
             Expectation {
-                rule: "hash-iter".to_string(),
+                rule: "lossy-cast".to_string(),
                 pos: Some((5, 23)),
             }
         );
@@ -373,8 +374,8 @@ mod tests {
         assert_eq!(units[0].rel_path, "crates/a/src/lib.rs");
         assert_eq!(units[1].rel_path, "crates/b/src/lib.rs");
         // `pub fn b` sits on fixture line 4; the padded unit must agree.
-        let lexed = lexer::lex(&units[1].source);
-        assert_eq!(lexed.tokens[0].line, 4);
+        let tokens = lexer::lex(&units[1].source);
+        assert_eq!(tokens[0].line, 4);
     }
 
     #[test]
@@ -386,10 +387,10 @@ mod tests {
 
     #[test]
     fn fixture_conformance_checks_position_when_declared() {
-        let src = "// path: crates/sim/src/x.rs\n// expect: hash-iter @ 3:23\nuse std::collections::HashMap;\n";
+        let src = "// path: crates/trace/src/x.rs\n// expect: lossy-cast @ 3:29\npub fn f(x: u64) -> u32 { x as u32 }\n";
         let report = run_fixture_source("f.rs", src);
         assert!(report.conforms(), "{:?}", report.findings);
-        let wrong = "// path: crates/sim/src/x.rs\n// expect: hash-iter @ 9:9\nuse std::collections::HashMap;\n";
+        let wrong = "// path: crates/trace/src/x.rs\n// expect: lossy-cast @ 9:9\npub fn f(x: u64) -> u32 { x as u32 }\n";
         assert!(!run_fixture_source("f.rs", wrong).conforms());
     }
 

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use ladder_lint::{run_fixtures, run_workspace, to_json, to_sarif, Finding, RuleStat, RULES};
 
 const USAGE: &str = "\
-ladder-lint — workspace determinism & accounting conformance analyzer
+ladder-lint — workspace domain-rule conformance analyzer
 
 USAGE:
     ladder-lint [OPTIONS]
@@ -150,7 +150,7 @@ fn main() -> ExitCode {
             eprintln!("ladder-lint: clean");
         } else {
             eprintln!(
-                "ladder-lint: {} finding{} (suppress with `// lint: allow(<rule>) — <why>`)",
+                "ladder-lint: {} finding{} (these rules have no suppression; fix the code — see --list-rules)",
                 findings.len(),
                 if findings.len() == 1 { "" } else { "s" }
             );

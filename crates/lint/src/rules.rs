@@ -1,30 +1,29 @@
 //! The rule catalog and the two-pass analysis engine.
 //!
-//! Every rule is deny-by-default: a violation is an error unless it sits
-//! under a justified `// lint: allow(<rule>) — <why>` pragma
-//! ([`crate::pragma`]). Rules are scoped by workspace-relative path (see
-//! each rule's `scope` string, also printed by `--list-rules`), and all of
-//! them skip `#[cfg(test)]` / `#[test]` item spans — test code may panic
-//! and hash freely; the invariants protect what ships in the simulation
-//! and accounting paths.
+//! Every rule is deny-by-default and has no suppression mechanism: these
+//! are the domain rules clippy cannot express, and none of them has a
+//! sanctioned exception in the workspace. (The generic determinism and
+//! panic rules are clippy lints configured in `clippy.toml`; their
+//! exceptions are `#[expect(lint, reason = "...")]` attributes.) Rules are
+//! scoped by workspace-relative path (see each rule's `scope` string, also
+//! printed by `--list-rules`), and the per-file ones skip `#[cfg(test)]` /
+//! `#[test]` item spans — the invariants protect what ships in the
+//! simulation and accounting paths.
 //!
 //! Analysis runs in two passes over a corpus of [`SourceUnit`]s
 //! ([`analyze_units`]): pass 1 runs the per-file rules and builds the
 //! [`SymbolIndex`](crate::index::SymbolIndex); pass 2 runs the
 //! cross-crate semantic rules ([`crate::semantic`]) against the index.
-//! Pragma filtering happens once at the end so the `dead-pragma` rule
-//! can see which pragmas suppressed anything at all.
 
 use crate::index::SymbolIndex;
-use crate::lexer::{lex, Lexed, Token};
-use crate::pragma::{self, Pragmas};
+use crate::lexer::{lex, Token};
 use crate::semantic;
 use std::collections::BTreeMap;
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule that fired (`pragma` for malformed pragmas).
+    /// Rule that fired.
     pub rule: &'static str,
     /// Workspace-relative path of the file.
     pub path: String,
@@ -61,7 +60,7 @@ pub struct SourceUnit {
 pub struct RuleStat {
     /// Rule name (`symbol-index` for the pass-1 index build).
     pub rule: &'static str,
-    /// Findings that survived pragma filtering.
+    /// Findings the rule reported.
     pub findings: usize,
     /// Wall-clock nanoseconds spent in the rule across the corpus.
     pub nanos: u128,
@@ -81,7 +80,7 @@ pub struct AnalysisReport {
 /// Static description of one rule, for `--list-rules` and the docs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Rule name as used in pragmas.
+    /// Rule name, as reported in findings.
     pub name: &'static str,
     /// One-line summary of what it enforces.
     pub summary: &'static str,
@@ -92,37 +91,11 @@ pub struct RuleInfo {
 /// The rule catalog (kept in sync with DESIGN.md §11 and §16).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "hash-iter",
-        summary: "no HashMap/HashSet in determinism-critical code; \
-                  use BTreeMap/BTreeSet or sorted iteration",
-        scope: "crates/{sim,trace,faults,wear,coding}/src (non-test spans)",
-    },
-    RuleInfo {
-        name: "wall-clock",
-        summary: "no Instant::now()/SystemTime outside the sanctioned \
-                  wall-clock module",
-        scope: "everywhere except crates/sim/src/wallclock.rs and the \
-                criterion shim; tests/ and benches/ are exempt",
-    },
-    RuleInfo {
-        name: "ambient-rng",
-        summary: "no thread_rng/OsRng/RandomState or other ambient \
-                  randomness; use the seeded generators",
-        scope: "everywhere except crates/workloads/src/rng.rs and \
-                crates/wear/src/rng_util.rs (including test code)",
-    },
-    RuleInfo {
         name: "lossy-cast",
         summary: "no lossy `as` casts to narrow numeric types in \
                   accounting code; use try_into or checked helpers",
         scope: "crates/trace/src plus every `impl Mergeable` block \
                 (non-test spans)",
-    },
-    RuleInfo {
-        name: "panic-policy",
-        summary: "no unwrap()/expect()/panic! in non-test library code",
-        scope: "crates/*/src except bin targets and the proptest/criterion \
-                test-harness shims (non-test spans)",
     },
     RuleInfo {
         name: "bench-flags",
@@ -165,51 +138,11 @@ pub const RULES: &[RuleInfo] = &[
         scope: "crates/{sim,trace,faults,wear,coding,memctrl}/src, \
                 merge/merge_from/fold* methods of *Stats/*Counts impls",
     },
-    RuleInfo {
-        name: "dead-pragma",
-        summary: "a `// lint: allow(...)` pragma that suppresses nothing \
-                  is itself a finding — pragmas are re-audited on every run",
-        scope: "everywhere a pragma appears",
-    },
-];
-
-/// Whether `name` is a real, pragma-allowable rule.
-pub fn rule_exists(name: &str) -> bool {
-    RULES.iter().any(|r| r.name == name)
-}
-
-/// Path prefixes whose code feeds figures, traces or folded statistics —
-/// the determinism-critical scope of `hash-iter`.
-const DETERMINISM_SCOPE: &[&str] = &[
-    "crates/sim/src/",
-    "crates/trace/src/",
-    "crates/faults/src/",
-    "crates/wear/src/",
-    "crates/coding/src/",
-];
-
-/// The only files allowed to touch the host wall clock.
-const WALL_CLOCK_ALLOW: &[&str] = &["crates/sim/src/wallclock.rs", "crates/criterion/src/lib.rs"];
-
-/// The only modules allowed to construct randomness.
-const RNG_ALLOW: &[&str] = &["crates/workloads/src/rng.rs", "crates/wear/src/rng_util.rs"];
-
-/// Identifiers that mean ambient (non-seeded) randomness.
-const RNG_BANNED: &[&str] = &[
-    "thread_rng",
-    "ThreadRng",
-    "OsRng",
-    "from_entropy",
-    "getrandom",
-    "RandomState",
 ];
 
 /// Cast targets that lose information from the workspace's `u64`/`f64`
 /// accounting domain.
 const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-
-/// Test-harness shims whose API is panicking by design.
-const PANIC_EXEMPT: &[&str] = &["crates/proptest/", "crates/criterion/"];
 
 /// Where the bench-binary conformance rule applies.
 const BENCH_BIN_SCOPE: &str = "crates/bench/src/bin/";
@@ -220,35 +153,6 @@ const FLAT_OPTIONS_ALLOW: &[&str] = &["crates/sim/src/config.rs", "crates/sim/sr
 
 /// Run-config types that must be constructed through the builder.
 const FLAT_OPTIONS_TYPES: &[&str] = &["SimConfig", "ServiceConfig"];
-
-/// Path-derived context for one file.
-struct FileContext<'a> {
-    path: &'a str,
-    in_tests_dir: bool,
-    in_benches_dir: bool,
-    is_bin: bool,
-}
-
-impl<'a> FileContext<'a> {
-    fn new(path: &'a str) -> Self {
-        let in_tests_dir = path.starts_with("tests/") || path.contains("/tests/");
-        let in_benches_dir = path.starts_with("benches/") || path.contains("/benches/");
-        let is_bin = path.contains("/src/bin/") || path.ends_with("src/main.rs");
-        FileContext {
-            path,
-            in_tests_dir,
-            in_benches_dir,
-            is_bin,
-        }
-    }
-
-    fn is_library_src(&self) -> bool {
-        !self.in_tests_dir
-            && !self.in_benches_dir
-            && !self.is_bin
-            && (self.path.contains("/src/") || self.path.starts_with("src/"))
-    }
-}
 
 /// An inclusive line range.
 #[derive(Debug, Clone, Copy)]
@@ -270,15 +174,18 @@ pub(crate) fn in_spans(spans: &[Span], line: usize) -> bool {
 /// One lexed file inside the analysis pipeline.
 pub(crate) struct FileUnit {
     pub(crate) rel_path: String,
-    pub(crate) lexed: Lexed,
+    pub(crate) tokens: Vec<Token>,
     pub(crate) tests: Vec<Span>,
-    pub(crate) pragmas: Pragmas,
 }
 
 /// Wall-clock read for the analyzer's own per-rule `--stats`; the one
 /// sanctioned self-timing site in this crate.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "analyzer self-timing for --stats; no simulated result depends on it"
+)]
 fn stat_clock() -> std::time::Instant {
-    std::time::Instant::now() // lint: allow(wall-clock) — analyzer self-timing for --stats; no simulated result depends on it
+    std::time::Instant::now()
 }
 
 /// Per-rule wall-clock accumulator.
@@ -298,158 +205,65 @@ impl Timer {
 }
 
 /// Analyzes a corpus of source units with both passes and returns the
-/// pragma-filtered findings plus per-rule stats.
+/// sorted findings plus per-rule stats.
 pub fn analyze_units(units: &[SourceUnit]) -> AnalysisReport {
     let mut timer = Timer::default();
 
     let mut files: Vec<FileUnit> = units
         .iter()
         .map(|u| {
-            let lexed = lex(&u.source);
-            let tests = test_spans(&lexed.tokens);
-            let pragmas = pragma::collect(&lexed.comments);
+            let tokens = lex(&u.source);
+            let tests = test_spans(&tokens);
             FileUnit {
                 rel_path: u.rel_path.clone(),
-                lexed,
+                tokens,
                 tests,
-                pragmas,
             }
         })
         .collect();
     files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
 
     // Pass 1a: per-file rules.
-    let mut raw: Vec<Finding> = Vec::new();
+    let mut out: Vec<Finding> = Vec::new();
     for file in &files {
-        let ctx = FileContext::new(&file.rel_path);
-        let tokens = &file.lexed.tokens;
+        let path = file.rel_path.as_str();
+        let tokens = &file.tokens;
         let tests = &file.tests;
         let mergeable = mergeable_impl_spans(tokens);
 
         let t0 = stat_clock();
-        check_hash_iter(&ctx, tokens, tests, &mut raw);
-        timer.add("hash-iter", t0);
-        let t0 = stat_clock();
-        check_wall_clock(&ctx, tokens, tests, &mut raw);
-        timer.add("wall-clock", t0);
-        let t0 = stat_clock();
-        check_ambient_rng(&ctx, tokens, &mut raw);
-        timer.add("ambient-rng", t0);
-        let t0 = stat_clock();
-        check_lossy_cast(&ctx, tokens, tests, &mergeable, &mut raw);
+        check_lossy_cast(path, tokens, tests, &mergeable, &mut out);
         timer.add("lossy-cast", t0);
         let t0 = stat_clock();
-        check_panic_policy(&ctx, tokens, tests, &mut raw);
-        timer.add("panic-policy", t0);
-        let t0 = stat_clock();
-        check_bench_flags(&ctx, tokens, &mut raw);
+        check_bench_flags(path, tokens, &mut out);
         timer.add("bench-flags", t0);
         let t0 = stat_clock();
-        check_flat_options(&ctx, tokens, tests, &mut raw);
+        check_flat_options(path, tokens, tests, &mut out);
         timer.add("flat-options", t0);
     }
 
     // Pass 1b: the symbol index.
     let t0 = stat_clock();
-    let refs: Vec<(&str, &Lexed)> = files
+    let refs: Vec<(&str, &[Token])> = files
         .iter()
-        .map(|f| (f.rel_path.as_str(), &f.lexed))
+        .map(|f| (f.rel_path.as_str(), &f.tokens[..]))
         .collect();
     let index = SymbolIndex::build(&refs);
     timer.add("symbol-index", t0);
 
     // Pass 2: cross-crate semantic rules.
     let t0 = stat_clock();
-    semantic::check_fast_ref_twin(&index, &mut raw);
+    semantic::check_fast_ref_twin(&index, &mut out);
     timer.add("fast-ref-twin", t0);
     let t0 = stat_clock();
-    semantic::check_mergeable_coverage(&index, &mut raw);
+    semantic::check_mergeable_coverage(&index, &mut out);
     timer.add("mergeable-coverage", t0);
     let t0 = stat_clock();
-    semantic::check_unit_mixing(&files, &mut raw);
+    semantic::check_unit_mixing(&files, &mut out);
     timer.add("unit-mixing", t0);
     let t0 = stat_clock();
-    semantic::check_counter_overflow(&files, &index, &mut raw);
+    semantic::check_counter_overflow(&files, &index, &mut out);
     timer.add("counter-overflow-policy", t0);
-
-    // Pragma filtering with usage tracking, then the dead-pragma audit.
-    let t0 = stat_clock();
-    let by_path: BTreeMap<&str, usize> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.rel_path.as_str(), i))
-        .collect();
-    let mut used: Vec<Vec<bool>> = files
-        .iter()
-        .map(|f| vec![false; f.pragmas.pragmas.len()])
-        .collect();
-    let mut out: Vec<Finding> = Vec::new();
-    for f in raw {
-        if let Some(&fi) = by_path.get(f.path.as_str()) {
-            if let Some(pi) = files[fi].pragmas.covering(f.rule, f.line) {
-                used[fi][pi] = true;
-                continue;
-            }
-        }
-        out.push(f);
-    }
-    // A well-formed pragma that suppressed nothing is dead. Dead-pragma
-    // findings are themselves suppressible (one level — an unused
-    // `allow(dead-pragma)` is reported unconditionally, so the audit
-    // cannot regress into a fixpoint).
-    for (fi, file) in files.iter().enumerate() {
-        for pi in 0..file.pragmas.pragmas.len() {
-            let p = &file.pragmas.pragmas[pi];
-            if used[fi][pi] || p.rule == "dead-pragma" {
-                continue;
-            }
-            if let Some(pj) = file.pragmas.covering("dead-pragma", p.line) {
-                used[fi][pj] = true;
-                continue;
-            }
-            out.push(Finding {
-                rule: "dead-pragma",
-                path: file.rel_path.clone(),
-                line: p.line,
-                col: p.col,
-                message: format!(
-                    "pragma `allow({})` suppresses nothing; the violation it \
-                     justified is gone — delete the pragma or restore its \
-                     purpose",
-                    p.rule
-                ),
-            });
-        }
-    }
-    for (fi, file) in files.iter().enumerate() {
-        for (pi, p) in file.pragmas.pragmas.iter().enumerate() {
-            if !used[fi][pi] && p.rule == "dead-pragma" {
-                out.push(Finding {
-                    rule: "dead-pragma",
-                    path: file.rel_path.clone(),
-                    line: p.line,
-                    col: p.col,
-                    message: "pragma `allow(dead-pragma)` suppresses nothing; \
-                              delete it"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    timer.add("dead-pragma", t0);
-
-    // Malformed pragmas are findings themselves and cannot be allowed.
-    for file in &files {
-        for e in &file.pragmas.errors {
-            out.push(Finding {
-                rule: "pragma",
-                path: file.rel_path.clone(),
-                line: e.line,
-                col: 1,
-                message: e.message.clone(),
-            });
-        }
-    }
 
     out.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 
@@ -466,12 +280,6 @@ pub fn analyze_units(units: &[SourceUnit]) -> AnalysisReport {
             nanos: timer.get(r.name),
         });
     }
-    stats.push(RuleStat {
-        rule: "pragma",
-        findings: count("pragma"),
-        nanos: 0,
-    });
-
     AnalysisReport {
         findings: out,
         stats,
@@ -480,7 +288,7 @@ pub fn analyze_units(units: &[SourceUnit]) -> AnalysisReport {
 }
 
 /// Analyzes one file in isolation (single-unit corpus) and returns its
-/// findings, pragma-filtered and sorted.
+/// findings, sorted.
 pub fn analyze(rel_path: &str, source: &str) -> Vec<Finding> {
     analyze_units(&[SourceUnit {
         rel_path: rel_path.to_string(),
@@ -629,121 +437,24 @@ fn mergeable_impl_spans(tokens: &[Token]) -> Vec<Span> {
 // Rule checks.
 // ---------------------------------------------------------------------------
 
-fn push(
-    findings: &mut Vec<Finding>,
-    rule: &'static str,
-    ctx: &FileContext<'_>,
-    t: &Token,
-    message: String,
-) {
+fn push(findings: &mut Vec<Finding>, rule: &'static str, path: &str, t: &Token, message: String) {
     findings.push(Finding {
         rule,
-        path: ctx.path.to_string(),
+        path: path.to_string(),
         line: t.line,
         col: t.col,
         message,
     });
 }
 
-fn check_hash_iter(
-    ctx: &FileContext<'_>,
-    tokens: &[Token],
-    tests: &[Span],
-    findings: &mut Vec<Finding>,
-) {
-    if !DETERMINISM_SCOPE.iter().any(|p| ctx.path.starts_with(p)) {
-        return;
-    }
-    for t in tokens {
-        let Some(name) = t.ident() else { continue };
-        if (name == "HashMap" || name == "HashSet") && !in_spans(tests, t.line) {
-            push(
-                findings,
-                "hash-iter",
-                ctx,
-                t,
-                format!(
-                    "`{name}` iteration order is nondeterministic; use \
-                     `BTree{}` or sorted iteration in determinism-critical code",
-                    &name[4..]
-                ),
-            );
-        }
-    }
-}
-
-fn check_wall_clock(
-    ctx: &FileContext<'_>,
-    tokens: &[Token],
-    tests: &[Span],
-    findings: &mut Vec<Finding>,
-) {
-    if WALL_CLOCK_ALLOW.contains(&ctx.path) || ctx.in_tests_dir || ctx.in_benches_dir {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if in_spans(tests, t.line) {
-            continue;
-        }
-        if t.is_ident("SystemTime") {
-            push(
-                findings,
-                "wall-clock",
-                ctx,
-                t,
-                "`SystemTime` is wall-clock state; simulated logic must be \
-                 time-host-independent (sanctioned: `ladder_sim::wallclock`)"
-                    .to_string(),
-            );
-        }
-        if t.is_ident("Instant")
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 3).is_some_and(|t| t.is_ident("now"))
-        {
-            push(
-                findings,
-                "wall-clock",
-                ctx,
-                t,
-                "`Instant::now()` outside the sanctioned wall-clock module; \
-                 use `ladder_sim::wallclock::Stopwatch`"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn check_ambient_rng(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if RNG_ALLOW.contains(&ctx.path) {
-        return;
-    }
-    for t in tokens {
-        let Some(name) = t.ident() else { continue };
-        if RNG_BANNED.contains(&name) {
-            push(
-                findings,
-                "ambient-rng",
-                ctx,
-                t,
-                format!(
-                    "`{name}` is ambient randomness; every random decision \
-                     must come from the seeded generators in \
-                     `ladder_workloads::rng` / `ladder_wear::rng_util`"
-                ),
-            );
-        }
-    }
-}
-
 fn check_lossy_cast(
-    ctx: &FileContext<'_>,
+    path: &str,
     tokens: &[Token],
     tests: &[Span],
     mergeable: &[Span],
     findings: &mut Vec<Finding>,
 ) {
-    let whole_file = ctx.path.starts_with("crates/trace/src/");
+    let whole_file = path.starts_with("crates/trace/src/");
     if !whole_file && mergeable.is_empty() {
         return;
     }
@@ -761,7 +472,7 @@ fn check_lossy_cast(
             push(
                 findings,
                 "lossy-cast",
-                ctx,
+                path,
                 t,
                 format!(
                     "lossy `as {target}` cast in accounting code; counters \
@@ -772,49 +483,8 @@ fn check_lossy_cast(
     }
 }
 
-fn check_panic_policy(
-    ctx: &FileContext<'_>,
-    tokens: &[Token],
-    tests: &[Span],
-    findings: &mut Vec<Finding>,
-) {
-    if !ctx.is_library_src() || PANIC_EXEMPT.iter().any(|p| ctx.path.starts_with(p)) {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if in_spans(tests, t.line) {
-            continue;
-        }
-        let Some(name) = t.ident() else { continue };
-        let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
-        let next_open = tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
-        let next_bang = tokens.get(i + 1).is_some_and(|t| t.is_punct('!'));
-        let hit = match name {
-            "unwrap" | "expect" => prev_dot && next_open,
-            "panic" => next_bang,
-            _ => false,
-        };
-        if hit {
-            let display = match name {
-                "panic" => "panic!".to_string(),
-                other => format!(".{other}()"),
-            };
-            push(
-                findings,
-                "panic-policy",
-                ctx,
-                t,
-                format!(
-                    "`{display}` in non-test library code; return an error, \
-                     or document the invariant and allow with a pragma"
-                ),
-            );
-        }
-    }
-}
-
-fn check_bench_flags(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if !ctx.path.starts_with(BENCH_BIN_SCOPE) {
+fn check_bench_flags(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
+    if !path.starts_with(BENCH_BIN_SCOPE) {
         return;
     }
     let has = |names: &[&str]| {
@@ -832,7 +502,7 @@ fn check_bench_flags(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec
         if !has(helpers) {
             findings.push(Finding {
                 rule: "bench-flags",
-                path: ctx.path.to_string(),
+                path: path.to_string(),
                 line: 1,
                 col: 1,
                 message: format!(
@@ -844,13 +514,9 @@ fn check_bench_flags(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec
     }
 }
 
-fn check_flat_options(
-    ctx: &FileContext<'_>,
-    tokens: &[Token],
-    tests: &[Span],
-    findings: &mut Vec<Finding>,
-) {
-    if FLAT_OPTIONS_ALLOW.contains(&ctx.path) || ctx.in_tests_dir {
+fn check_flat_options(path: &str, tokens: &[Token], tests: &[Span], findings: &mut Vec<Finding>) {
+    let in_tests_dir = path.starts_with("tests/") || path.contains("/tests/");
+    if FLAT_OPTIONS_ALLOW.contains(&path) || in_tests_dir {
         return;
     }
     for (i, t) in tokens.iter().enumerate() {
@@ -873,7 +539,7 @@ fn check_flat_options(
             push(
                 findings,
                 "flat-options",
-                ctx,
+                path,
                 t,
                 format!(
                     "`{name} {{ .. }}` struct literal bypasses the builder; \
@@ -893,45 +559,19 @@ mod tests {
     }
 
     #[test]
-    fn hash_map_fires_only_in_determinism_scope() {
-        let src = "use std::collections::HashMap;";
-        assert_eq!(rules_fired("crates/sim/src/x.rs", src), vec!["hash-iter"]);
-        assert_eq!(rules_fired("crates/wear/src/x.rs", src), vec!["hash-iter"]);
-        assert!(rules_fired("crates/xbar/src/x.rs", src).is_empty());
-    }
-
-    #[test]
     fn cfg_test_mod_is_exempt() {
-        let src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn g() { None::<u8>.unwrap(); }\n}\n";
-        assert!(rules_fired("crates/sim/src/x.rs", src).is_empty());
+        let src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g(x: u64) -> u32 { x as u32 }\n    fn h() { let _ = SimConfig { trace: true }; }\n}\n";
+        assert!(rules_fired("crates/trace/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn test_fn_attr_is_exempt() {
-        let src = "#[test]\nfn t() { None::<u8>.unwrap(); }\npub fn f() { x.unwrap(); }\n";
+        let src =
+            "#[test]\nfn t() { let _ = 7u64 as u32; }\npub fn f(x: u64) -> u32 { x as u32 }\n";
         assert_eq!(
-            rules_fired("crates/sim/src/x.rs", src),
-            vec!["panic-policy"]
+            rules_fired("crates/trace/src/x.rs", src),
+            vec!["lossy-cast"]
         );
-    }
-
-    #[test]
-    fn wall_clock_allows_the_sanctioned_module() {
-        let src = "pub fn now() { let _ = std::time::Instant::now(); }";
-        assert_eq!(
-            rules_fired("crates/sim/src/runner.rs", src),
-            vec!["wall-clock"]
-        );
-        assert!(rules_fired("crates/sim/src/wallclock.rs", src).is_empty());
-        assert!(rules_fired("crates/criterion/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn sim_time_instant_is_not_wall_clock() {
-        // ladder_reram::Instant (simulated time) is fine; only ::now() is
-        // the host clock.
-        let src = "pub fn f(t: Instant) -> Instant { t }";
-        assert!(rules_fired("crates/sim/src/system.rs", src).is_empty());
     }
 
     #[test]
@@ -949,60 +589,6 @@ mod tests {
         );
         let widening = "pub fn f(x: u32) -> u64 { x as u64 }";
         assert!(rules_fired("crates/trace/src/metrics.rs", widening).is_empty());
-    }
-
-    #[test]
-    fn panic_policy_skips_bins_tests_and_shims() {
-        let src = "fn main() { x.unwrap(); panic!(\"boom\"); }";
-        assert!(rules_fired("crates/sim/src/bin/tool.rs", src).is_empty());
-        assert!(rules_fired("crates/sim/tests/t.rs", src).is_empty());
-        assert!(rules_fired("crates/bench/benches/b.rs", src).is_empty());
-        assert!(rules_fired("crates/proptest/src/lib.rs", src).is_empty());
-        assert_eq!(
-            rules_fired("crates/sim/src/lib.rs", "pub fn f() { x.expect(\"y\"); }"),
-            vec!["panic-policy"]
-        );
-    }
-
-    #[test]
-    fn pragma_suppresses_and_malformed_pragma_reports() {
-        let ok = "pub fn f() {\n    // lint: allow(panic-policy) — invariant: x is Some\n    x.unwrap();\n}\n";
-        assert!(rules_fired("crates/sim/src/lib.rs", ok).is_empty());
-        let unknown = "pub fn f() {\n    // lint: allow(panik) — typo\n    x.unwrap();\n}\n";
-        // The malformed pragma (line 2) is itself a finding and does not
-        // suppress the unwrap (line 3); findings sort by line.
-        assert_eq!(
-            rules_fired("crates/sim/src/lib.rs", unknown),
-            vec!["pragma", "panic-policy"]
-        );
-    }
-
-    #[test]
-    fn dead_pragma_reports_and_can_be_suppressed() {
-        // The pragma suppresses nothing: dead.
-        let stale = "pub fn f() -> u64 {\n    // lint: allow(panic-policy) — was needed before the refactor\n    42\n}\n";
-        let findings = analyze("crates/sim/src/lib.rs", stale);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "dead-pragma");
-        assert_eq!(findings[0].line, 2);
-        assert_eq!(findings[0].col, 5);
-
-        // A live pragma is not dead.
-        let live =
-            "pub fn f() {\n    // lint: allow(panic-policy) — invariant\n    x.unwrap();\n}\n";
-        assert!(rules_fired("crates/sim/src/lib.rs", live).is_empty());
-
-        // Dead-pragma findings are themselves suppressible (one level).
-        let waived = "pub fn f() -> u64 {\n    // lint: allow(dead-pragma) — kept while the refactor lands\n    // lint: allow(panic-policy) — to be re-justified\n    42\n}\n";
-        assert!(rules_fired("crates/sim/src/lib.rs", waived).is_empty());
-
-        // An unused allow(dead-pragma) is itself reported.
-        let useless =
-            "pub fn f() -> u64 {\n    // lint: allow(dead-pragma) — nothing here\n    42\n}\n";
-        assert_eq!(
-            rules_fired("crates/sim/src/lib.rs", useless),
-            vec!["dead-pragma"]
-        );
     }
 
     #[test]
@@ -1052,37 +638,26 @@ mod tests {
     }
 
     #[test]
-    fn ambient_rng_fires_everywhere_but_the_sanctioned_modules() {
-        let src = "pub fn f() { let r = thread_rng(); }";
-        assert_eq!(
-            rules_fired("crates/sim/tests/t.rs", src),
-            vec!["ambient-rng"]
-        );
-        assert!(rules_fired("crates/workloads/src/rng.rs", src).is_empty());
-        assert!(rules_fired("crates/wear/src/rng_util.rs", src).is_empty());
-    }
-
-    #[test]
     fn findings_carry_position() {
-        let f = analyze("crates/sim/src/x.rs", "\n\nuse std::collections::HashMap;");
-        assert_eq!((f[0].line, f[0].col), (3, 23));
-        assert!(f[0].render().contains("crates/sim/src/x.rs:3:23"));
+        let f = analyze("crates/trace/src/x.rs", "\n\nconst C: u32 = 7u64 as u32;");
+        assert_eq!((f[0].line, f[0].col), (3, 21));
+        assert!(f[0].render().contains("crates/trace/src/x.rs:3:21"));
     }
 
     #[test]
     fn stats_cover_every_rule_and_count_findings() {
         let report = analyze_units(&[SourceUnit {
-            rel_path: "crates/sim/src/x.rs".to_string(),
-            source: "use std::collections::HashMap;".to_string(),
+            rel_path: "crates/trace/src/x.rs".to_string(),
+            source: "const C: u32 = 7u64 as u32;".to_string(),
         }]);
         assert_eq!(report.files, 1);
-        assert_eq!(report.stats.len(), RULES.len() + 2); // + index + pragma
+        assert_eq!(report.stats.len(), RULES.len() + 1); // + index
         assert_eq!(report.stats[0].rule, "symbol-index");
-        let hash = report
+        let cast = report
             .stats
             .iter()
-            .find(|s| s.rule == "hash-iter")
-            .expect("hash-iter stat");
-        assert_eq!(hash.findings, 1);
+            .find(|s| s.rule == "lossy-cast")
+            .expect("lossy-cast stat");
+        assert_eq!(cast.findings, 1);
     }
 }

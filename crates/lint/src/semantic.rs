@@ -22,10 +22,6 @@
 //!   bodies of counter structs, `+=` and `wrapping_add` on integer
 //!   counter fields are findings: fold paths accumulate across shards
 //!   and must saturate (or check) rather than wrap.
-//!
-//! The fifth semantic rule, **dead-pragma**, lives in the pipeline
-//! ([`crate::rules::analyze_units`]) because it needs the pragma usage
-//! record produced while filtering every other rule's findings.
 
 use crate::index::{FnItem, SymbolIndex};
 use crate::lexer::{Token, TokenKind};
@@ -258,7 +254,7 @@ pub(crate) fn check_unit_mixing(files: &[FileUnit], findings: &mut Vec<Finding>)
         {
             continue;
         }
-        let tokens = &file.lexed.tokens;
+        let tokens = &file.tokens;
         let mut seg = Segment::default();
         for (i, t) in tokens.iter().enumerate() {
             if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') || t.is_punct(',') {
@@ -378,7 +374,7 @@ pub(crate) fn check_counter_overflow(
         let Some(unit) = files.iter().find(|u| u.rel_path == f.file) else {
             continue;
         };
-        let tokens = &unit.lexed.tokens;
+        let tokens = &unit.tokens;
         for k in open..=close.min(tokens.len().saturating_sub(1)) {
             let t = &tokens[k];
             // `field += ...`: `+` directly followed by `=` in the source.

@@ -183,34 +183,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Folds another controller's statistics into this one (peaks take
-    /// the maximum; everything else adds).
-    pub fn merge(&mut self, other: &MemStats) {
-        self.demand_reads = self.demand_reads.saturating_add(other.demand_reads);
-        self.demand_read_latency += other.demand_read_latency;
-        self.smb_reads = self.smb_reads.saturating_add(other.smb_reads);
-        self.metadata_reads = self.metadata_reads.saturating_add(other.metadata_reads);
-        self.data_writes = self.data_writes.saturating_add(other.data_writes);
-        self.metadata_writes = self.metadata_writes.saturating_add(other.metadata_writes);
-        self.write_service_time += other.write_service_time;
-        self.t_wr_data += other.t_wr_data;
-        self.t_wr_metadata += other.t_wr_metadata;
-        self.bits_set = self.bits_set.saturating_add(other.bits_set);
-        self.bits_reset = self.bits_reset.saturating_add(other.bits_reset);
-        self.drain_switches = self.drain_switches.saturating_add(other.drain_switches);
-        self.wrq_peak = self.wrq_peak.max(other.wrq_peak);
-        self.spill_peak = self.spill_peak.max(other.spill_peak);
-        self.failed_verifies = self.failed_verifies.saturating_add(other.failed_verifies);
-        self.retries_issued = self.retries_issued.saturating_add(other.retries_issued);
-        self.retry_time += other.retry_time;
-        self.ecc_corrected_bits = self
-            .ecc_corrected_bits
-            .saturating_add(other.ecc_corrected_bits);
-        self.uncorrectable_writes = self
-            .uncorrectable_writes
-            .saturating_add(other.uncorrectable_writes);
-    }
-
     /// Mean demand read latency.
     pub fn avg_read_latency(&self) -> Picos {
         if self.demand_reads == 0 {
@@ -251,8 +223,31 @@ impl MemStats {
 }
 
 impl Mergeable for MemStats {
+    /// Peaks take the maximum; everything else adds.
     fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
+        self.demand_reads = self.demand_reads.saturating_add(other.demand_reads);
+        self.demand_read_latency += other.demand_read_latency;
+        self.smb_reads = self.smb_reads.saturating_add(other.smb_reads);
+        self.metadata_reads = self.metadata_reads.saturating_add(other.metadata_reads);
+        self.data_writes = self.data_writes.saturating_add(other.data_writes);
+        self.metadata_writes = self.metadata_writes.saturating_add(other.metadata_writes);
+        self.write_service_time += other.write_service_time;
+        self.t_wr_data += other.t_wr_data;
+        self.t_wr_metadata += other.t_wr_metadata;
+        self.bits_set = self.bits_set.saturating_add(other.bits_set);
+        self.bits_reset = self.bits_reset.saturating_add(other.bits_reset);
+        self.drain_switches = self.drain_switches.saturating_add(other.drain_switches);
+        self.wrq_peak = self.wrq_peak.max(other.wrq_peak);
+        self.spill_peak = self.spill_peak.max(other.spill_peak);
+        self.failed_verifies = self.failed_verifies.saturating_add(other.failed_verifies);
+        self.retries_issued = self.retries_issued.saturating_add(other.retries_issued);
+        self.retry_time += other.retry_time;
+        self.ecc_corrected_bits = self
+            .ecc_corrected_bits
+            .saturating_add(other.ecc_corrected_bits);
+        self.uncorrectable_writes = self
+            .uncorrectable_writes
+            .saturating_add(other.uncorrectable_writes);
     }
 }
 
@@ -927,7 +922,10 @@ impl MemoryController {
                 .position(|r| (demand_allowed || r.kind != RKind::Demand) && banks[r.bank] <= now)
         };
         let Some(idx) = idx else { return false };
-        // lint: allow(panic-policy) — invariant: idx was just produced by position() over this same queue
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: idx was just produced by position() over this same queue"
+        )]
         let entry = self.channels[ch].rdq.remove(idx).expect("index valid");
         let bank = entry.bank;
         let nominal_burst = Instant::from_ps((now + lat).as_ps() - timing.t_burst.as_ps());

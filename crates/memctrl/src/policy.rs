@@ -532,11 +532,17 @@ impl Tables {
 ///
 /// Panics if table generation fails (the analytic source is infallible).
 pub fn standard_tables(cfg: &TableConfig) -> Tables {
-    // lint: allow(panic-policy) — invariant: the analytic table source is infallible, documented under # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the analytic table source is infallible, documented under # Panics"
+    )]
     let ladder = TimingTable::generate(cfg).expect("wordline table");
     let mut blp_cfg = cfg.clone();
     blp_cfg.content_axis = ContentAxis::Bitline;
-    // lint: allow(panic-policy) — invariant: the analytic table source is infallible, documented under # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the analytic table source is infallible, documented under # Panics"
+    )]
     let blp = TimingTable::generate(&blp_cfg).expect("bitline table");
     Tables { ladder, blp }
 }

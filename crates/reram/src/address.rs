@@ -230,8 +230,11 @@ impl AddressMap {
     /// Panics if the geometry violates the structural constraints of
     /// [`Geometry::validate`].
     pub fn with_interleave(geometry: Geometry, interleave: Interleave) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "constructor contract: invalid geometry is a configuration bug, documented under # Panics"
+        )]
         if let Err(msg) = geometry.validate() {
-            // lint: allow(panic-policy) — constructor contract: invalid geometry is a configuration bug, documented under # Panics
             panic!("unsupported geometry: {msg}");
         }
         let order = interleave.order(&geometry);

@@ -63,6 +63,10 @@ fn run_with_ladder_cfg(
 
 /// Runs the shared pessimistic baseline plus one LADDER run per sweep
 /// value, all in one parallel batch; job 0 is the baseline.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: split_off(1) leaves exactly the baseline run in results"
+)]
 fn sweep_with_base<V: Copy + Sync>(
     cfg: &ExperimentConfig,
     workload: Workload,
@@ -79,7 +83,6 @@ fn sweep_with_base<V: Copy + Sync>(
         }
     });
     let rest = results.split_off(1);
-    // lint: allow(panic-policy) — invariant: split_off(1) leaves exactly the baseline run in results
     (results.pop().expect("baseline run"), rest)
 }
 

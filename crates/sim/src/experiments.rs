@@ -95,11 +95,14 @@ impl Workload {
     pub fn members(&self) -> Vec<&'static str> {
         match self {
             Workload::Single(b) => vec![b],
+            #[expect(
+                clippy::panic,
+                reason = "caller contract: mix names come from the fixed MIXES catalog, documented under # Panics"
+            )]
             Workload::Mix(m) => MIXES
                 .iter()
                 .find(|(name, _)| name == m)
                 .map(|(_, members)| members.to_vec())
-                // lint: allow(panic-policy) — caller contract: mix names come from the fixed MIXES catalog, documented under # Panics
                 .unwrap_or_else(|| panic!("unknown mix {m}")),
         }
     }
@@ -217,11 +220,14 @@ impl WorkloadEval {
     /// # Panics
     ///
     /// Panics if the scheme was not part of the evaluation.
+    #[expect(
+        clippy::panic,
+        reason = "caller contract: scheme must be part of the evaluation, documented under # Panics"
+    )]
     pub fn run(&self, scheme: Scheme) -> &RunResult {
         self.runs
             .iter()
             .find(|r| r.scheme == scheme)
-            // lint: allow(panic-policy) — caller contract: scheme must be part of the evaluation, documented under # Panics
             .unwrap_or_else(|| panic!("scheme {scheme} not evaluated"))
     }
 
@@ -231,11 +237,14 @@ impl WorkloadEval {
     ///
     /// Panics if the scheme was not part of the evaluation.
     pub fn speedup(&self, scheme: Scheme) -> f64 {
+        #[expect(
+            clippy::panic,
+            reason = "caller contract: scheme must be part of the evaluation, documented under # Panics"
+        )]
         let idx = self
             .runs
             .iter()
             .position(|r| r.scheme == scheme)
-            // lint: allow(panic-policy) — caller contract: scheme must be part of the evaluation, documented under # Panics
             .unwrap_or_else(|| panic!("scheme {scheme} not evaluated"));
         self.speedups[idx]
     }
@@ -350,10 +359,13 @@ impl<'a> MainEvalBuilder<'a> {
         for (&b, r) in extra.iter().zip(&extra_results) {
             alone.insert(b, r.ipc0());
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: position() cannot fail, Baseline membership was checked above"
+        )]
         let base_idx = schemes
             .iter()
             .position(|&s| s == Scheme::Baseline)
-            // lint: allow(panic-policy) — invariant: position() cannot fail, Baseline membership was checked above
             .expect("checked above");
         let mut per_workload: Vec<(Workload, Vec<RunResult>)> = Vec::with_capacity(workloads.len());
         let mut it = results.into_iter();
@@ -562,11 +574,14 @@ impl FigureSeries {
     ///
     /// Panics if the scheme is not a column.
     pub fn avg_of(&self, scheme: Scheme) -> f64 {
+        #[expect(
+            clippy::panic,
+            reason = "caller contract: scheme must be part of the series, documented under # Panics"
+        )]
         let idx = self
             .schemes
             .iter()
             .position(|&s| s == scheme)
-            // lint: allow(panic-policy) — caller contract: scheme must be part of the series, documented under # Panics
             .unwrap_or_else(|| panic!("scheme {scheme} not in series"));
         self.average[idx]
     }
@@ -695,8 +710,11 @@ fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload, shifting: bo
         );
         while let Some(ev) = trace.next_event() {
             if let ladder_cpu::TraceOp::Write { addr, data } = ev.op {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)"
+                )]
                 while !mc.enqueue_write(addr, *data, now) {
-                    // lint: allow(panic-policy) — invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)
                     now = mc.next_wake(now).expect("controller progress");
                     mc.process(now);
                 }
@@ -831,10 +849,13 @@ pub fn error_rate_sweep(
     }
     let (results, _) = runner.run_configs(cfg, &tables, &specs);
     let endurance = FaultConfig::with_ber(cfg.seed, 0.0).endurance;
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: fault sweeps enable wear tracking in every RunSpec they build"
+    )]
     let lifetime_of = |r: &RunResult| {
         r.wear
             .as_ref()
-            // lint: allow(panic-policy) — invariant: fault sweeps enable wear tracking in every RunSpec they build
             .expect("wear tracking enabled")
             .with(|w| w.lifetime_seconds(endurance, r.end.duration_since(Instant::ZERO)))
     };
@@ -855,7 +876,7 @@ pub fn error_rate_sweep(
                 retry_time_frac: r.mem.retry_time.as_ps() as f64 / r.end.as_ps().max(1) as f64,
                 lifetime_s,
                 lifetime_vs_fault_free: lifetime_s / lifetime_of(control),
-                // lint: allow(panic-policy) — invariant: fault sweeps run with the fault model installed two lines up
+                #[expect(clippy::expect_used, reason = "invariant: fault sweeps run with the fault model installed two lines up")]
                 faults: r.faults.expect("fault model installed"),
             });
         }
@@ -1075,8 +1096,11 @@ pub fn crash_recovery(cfg: &ExperimentConfig, bench: &'static str) -> CrashRecov
         while fed < n_writes {
             let Some(ev) = gen.next_event() else { break };
             if let ladder_cpu::TraceOp::Write { addr, data } = ev.op {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)"
+                )]
                 while !mc.enqueue_write(addr, *data, *now) {
-                    // lint: allow(panic-policy) — invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)
                     *now = mc.next_wake(*now).expect("controller progress");
                     mc.process(*now);
                 }
@@ -1224,7 +1248,10 @@ impl CampaignSpec {
             codings: CodingKind::ALL.to_vec(),
             requests: if quick { 600 } else { 8_000 },
             load: 4.0,
-            // lint: allow(panic-policy) — static 2x2 literal is always a valid topology
+            #[expect(
+                clippy::expect_used,
+                reason = "static 2x2 literal is always a valid topology"
+            )]
             topology: Topology::new(2, 2).expect("static 2x2 topology"),
             scheme: Scheme::LadderEst,
         }
@@ -1343,24 +1370,30 @@ pub fn lifetime_campaign(
                     // Device write rate over the run, and the worst
                     // shard's wear concentration (the device dies at its
                     // most uneven spot).
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: the campaign enables wear tracking in every config it builds"
+                    )]
                     let total_writes: u64 = run
                         .shards
                         .iter()
                         .map(|r| {
                             r.wear
                                 .as_ref()
-                                // lint: allow(panic-policy) — invariant: the campaign enables wear tracking in every config it builds
                                 .expect("campaign enables wear tracking")
                                 .with(|w| w.total_writes())
                         })
                         .sum();
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: the campaign enables wear tracking in every config it builds"
+                    )]
                     let unevenness = run
                         .shards
                         .iter()
                         .map(|r| {
                             r.wear
                                 .as_ref()
-                                // lint: allow(panic-policy) — invariant: the campaign enables wear tracking in every config it builds
                                 .expect("campaign enables wear tracking")
                                 .with(|w| w.unevenness())
                         })

@@ -12,6 +12,9 @@
 //! sharded `channels × ranks` [`Topology`] runs through [`run_sharded`],
 //! which folds the per-channel shards bit-reproducibly at any `--jobs`.
 
+// hash-iter: no HashMap/HashSet outside test code (see clippy.toml).
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+
 pub mod ablations;
 pub mod config;
 pub mod experiments;

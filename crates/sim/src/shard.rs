@@ -121,9 +121,12 @@ pub fn run_sharded(
     tables: &Tables,
     runner: &Runner,
 ) -> ShardedRun {
+    #[expect(
+        clippy::expect_used,
+        reason = "entry-point contract: mixing the monolithic and sharded paths is a caller bug, documented under # Panics"
+    )]
     let topology = cfg
         .topology
-        // lint: allow(panic-policy) — entry-point contract: mixing the monolithic and sharded paths is a caller bug, documented under # Panics
         .expect("run_sharded requires a topology; monolithic configs go through run_sim");
     let shard_geometry = topology.shard_geometry(&Geometry::default());
     let (shards, stats) = runner.run_jobs(topology.shards(), |s| {
@@ -148,7 +151,7 @@ pub fn run_sharded(
         end = end.max(r.end);
         read_histogram.merge_from(&r.read_histogram);
         if let Some(f) = &r.faults {
-            faults.get_or_insert_with(FaultStats::default).merge(f);
+            faults.get_or_insert_with(FaultStats::default).merge_from(f);
         }
         if let Some(c) = &r.coding {
             coding

@@ -628,23 +628,6 @@ impl EventCounts {
             + self.request_arrival
     }
 
-    /// Accumulates another run's counters into this one.
-    pub fn merge(&mut self, other: &EventCounts) {
-        self.core_wake = self.core_wake.saturating_add(other.core_wake);
-        self.read_complete = self.read_complete.saturating_add(other.read_complete);
-        self.ctrl_work_arrived = self
-            .ctrl_work_arrived
-            .saturating_add(other.ctrl_work_arrived);
-        self.ctrl_bank_free = self.ctrl_bank_free.saturating_add(other.ctrl_bank_free);
-        self.ctrl_queue_slot_free = self
-            .ctrl_queue_slot_free
-            .saturating_add(other.ctrl_queue_slot_free);
-        self.ctrl_dep_ready = self.ctrl_dep_ready.saturating_add(other.ctrl_dep_ready);
-        self.ctrl_mode_switch = self.ctrl_mode_switch.saturating_add(other.ctrl_mode_switch);
-        self.ctrl_retry_pulse = self.ctrl_retry_pulse.saturating_add(other.ctrl_retry_pulse);
-        self.request_arrival = self.request_arrival.saturating_add(other.request_arrival);
-    }
-
     fn count(&mut self, ev: EventKind) {
         match ev {
             EventKind::CoreWake(_) => self.core_wake += 1,
@@ -662,7 +645,19 @@ impl EventCounts {
 
 impl Mergeable for EventCounts {
     fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
+        self.core_wake = self.core_wake.saturating_add(other.core_wake);
+        self.read_complete = self.read_complete.saturating_add(other.read_complete);
+        self.ctrl_work_arrived = self
+            .ctrl_work_arrived
+            .saturating_add(other.ctrl_work_arrived);
+        self.ctrl_bank_free = self.ctrl_bank_free.saturating_add(other.ctrl_bank_free);
+        self.ctrl_queue_slot_free = self
+            .ctrl_queue_slot_free
+            .saturating_add(other.ctrl_queue_slot_free);
+        self.ctrl_dep_ready = self.ctrl_dep_ready.saturating_add(other.ctrl_dep_ready);
+        self.ctrl_mode_switch = self.ctrl_mode_switch.saturating_add(other.ctrl_mode_switch);
+        self.ctrl_retry_pulse = self.ctrl_retry_pulse.saturating_add(other.ctrl_retry_pulse);
+        self.request_arrival = self.request_arrival.saturating_add(other.request_arrival);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The workspace's sanctioned wall-clock access point.
 //!
 //! Simulated time lives in [`ladder_reram::Instant`] and must never depend
-//! on the host clock — `ladder-lint`'s `wall-clock` rule denies
-//! `Instant::now()` / `SystemTime` everywhere else. Host-time measurement
+//! on the host clock — clippy's `disallowed_methods` (see `clippy.toml`)
+//! denies `Instant::now()` / `SystemTime::now()` everywhere else. Host-time measurement
 //! is legitimate only for *reporting* (runner throughput, bench table
 //! timings), and all of it flows through this module so a reader can audit
 //! every wall-clock consumer in one place.
@@ -21,6 +21,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts measuring now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one sanctioned host-clock read"
+    )]
     pub fn start() -> Self {
         Stopwatch {
             started: Instant::now(),

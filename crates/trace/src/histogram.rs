@@ -6,10 +6,17 @@
 //!
 //! Bucket boundaries are hoisted to construction time (a compile-time
 //! table), so recording a sample never re-derives them.
+//!
+//! Resolution is one bucket per octave: bucket `i` ends at `500 ps << i`,
+//! and a reported percentile is its bucket's upper bound, so it can read
+//! up to 2× the true quantile (never below it, and never above the
+//! observed maximum).
 
+use crate::metrics::Mergeable;
 use ladder_reram::Picos;
 
-/// Number of logarithmic buckets (~1 ns to ~1 ms at 2 buckets/octave).
+/// Number of logarithmic buckets, one per octave: 0.5 ns up to ~26 days
+/// (`500 ps << 52`), then overflow buckets.
 const BUCKETS: usize = 64;
 
 /// Bucket index from which the bounds table saturates: `500 ps << 54`
@@ -113,7 +120,8 @@ impl LatencyHistogram {
 
     /// Approximate percentile (`q` in `0..=1`): the upper bound of the
     /// bucket containing the q-quantile sample, clamped at the observed
-    /// maximum.
+    /// maximum. Buckets span one octave, so the result can be up to 2×
+    /// the exact quantile.
     ///
     /// # Panics
     ///
@@ -138,9 +146,10 @@ impl LatencyHistogram {
         }
         self.max
     }
+}
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+impl Mergeable for LatencyHistogram {
+    fn merge_from(&mut self, other: &Self) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -244,7 +253,7 @@ mod tests {
         let mut b = LatencyHistogram::new();
         a.record(Picos::from_ns(10.0));
         b.record(Picos::from_ns(1000.0));
-        a.merge(&b);
+        a.merge_from(&b);
         assert_eq!(a.count(), 2);
         assert!(a.percentile(1.0).as_ns() >= 1000.0);
     }

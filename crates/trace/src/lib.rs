@@ -39,6 +39,9 @@
 //! assert_eq!(off.records(), 0);
 //! ```
 
+// hash-iter: no HashMap/HashSet outside test code (see clippy.toml).
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+
 mod export;
 mod histogram;
 mod metrics;

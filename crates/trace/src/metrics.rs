@@ -50,12 +50,6 @@ impl Mergeable for Picos {
     }
 }
 
-impl Mergeable for LatencyHistogram {
-    fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
-    }
-}
-
 /// A name-keyed registry of mergeable counters and latency histograms —
 /// the generic container ad-hoc stat structs migrate toward. Keys are
 /// ordered, so iteration (and therefore any export) is deterministic.
@@ -132,7 +126,7 @@ impl Mergeable for MetricsRegistry {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
         for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+            self.histograms.entry(k.clone()).or_default().merge_from(h);
         }
     }
 }

@@ -50,7 +50,7 @@ impl Mergeable for TenantGroup {
         // merge associative/commutative with the all-zero identity.
         self.weight_ppm = self.weight_ppm.max(other.weight_ppm);
         self.qos_code = self.qos_code.max(other.qos_code);
-        self.reads.merge(&other.reads);
+        self.reads.merge_from(&other.reads);
         self.writes += other.writes;
     }
 }

@@ -105,10 +105,13 @@ impl StartGap {
 
 impl WearLeveler for StartGap {
     fn map(&self, logical: LineAddr) -> LineAddr {
+        #[expect(
+            clippy::expect_used,
+            reason = "region-membership precondition, documented on the trait; same contract as the assert below"
+        )]
         let rel = logical
             .raw()
             .checked_sub(self.base)
-            // lint: allow(panic-policy) — region-membership precondition, documented on the trait; same contract as the assert below
             .expect("address below region base");
         assert!(rel < self.lines, "address beyond region");
         let rotated = (rel + self.start) % self.lines;
@@ -196,10 +199,13 @@ impl SegmentVwl {
 impl WearLeveler for SegmentVwl {
     fn map(&self, logical: LineAddr) -> LineAddr {
         let base_line = self.base_page * LINES_PER_WLG as u64;
+        #[expect(
+            clippy::expect_used,
+            reason = "region-membership precondition, documented on the trait; same contract as the assert below"
+        )]
         let rel = logical
             .raw()
             .checked_sub(base_line)
-            // lint: allow(panic-policy) — region-membership precondition, documented on the trait; same contract as the assert below
             .expect("address below region base");
         let seg = rel / self.lines_per_segment();
         assert!(seg < self.segments, "address beyond region");

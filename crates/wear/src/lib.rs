@@ -7,6 +7,9 @@
 //! rotates bytes inside a line and needs no metadata handling. Lifetime is
 //! judged by the worst-stressed line through [`WearMap`].
 
+// hash-iter: no HashMap/HashSet outside test code (see clippy.toml).
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
+
 mod leveling;
 mod lifetime;
 mod remap;

@@ -148,7 +148,7 @@ pub mod csr {
         /// # Panics
         ///
         /// Panics if `x` or `y` have length different from `n`.
-        #[allow(clippy::needless_range_loop)] // row index drives the CSR walk
+        #[expect(clippy::needless_range_loop, reason = "row index drives the CSR walk")]
         pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
             assert!(x.len() == self.n && y.len() == self.n, "dimension mismatch");
             for r in 0..self.n {
@@ -161,7 +161,7 @@ pub mod csr {
         }
 
         /// Returns the main diagonal (used for Jacobi preconditioning).
-        #[allow(clippy::needless_range_loop)] // row index drives the CSR walk
+        #[expect(clippy::needless_range_loop, reason = "row index drives the CSR walk")]
         pub fn diagonal(&self) -> Vec<f64> {
             let mut d = vec![0.0; self.n];
             for r in 0..self.n {
@@ -221,8 +221,11 @@ pub mod csr {
                 row.sort_unstable_by_key(|&(c, _)| c);
                 let mut last: Option<usize> = None;
                 for &(c, v) in row.iter() {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: last == Some(c) implies values got an entry on a previous iteration"
+                    )]
                     if last == Some(c) {
-                        // lint: allow(panic-policy) — invariant: last == Some(c) implies values got an entry on a previous iteration
                         *values.last_mut().expect("entry exists") += v;
                     } else {
                         col_idx.push(c);

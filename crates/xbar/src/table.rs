@@ -215,7 +215,10 @@ impl TimingTable {
                         .collect();
                     let mut all = Vec::with_capacity(points.len());
                     for h in handles {
-                        // lint: allow(panic-policy) — worker panics are bugs worth propagating; join() only fails on panic
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "worker panics are bugs worth propagating; join() only fails on panic"
+                        )]
                         all.extend(h.join().expect("table worker panicked")?);
                     }
                     Ok(all)
@@ -368,14 +371,20 @@ impl TimingTable {
 
     /// Worst (largest) latency in the table — the fixed latency a
     /// pessimistic baseline scheme must always use.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a generated table always has >= 1 entry (content axis is never empty)"
+    )]
     pub fn worst_ps(&self) -> u64 {
-        // lint: allow(panic-policy) — invariant: a generated table always has >= 1 entry (content axis is never empty)
         *self.entries.iter().max().expect("table nonempty") as u64
     }
 
     /// Best (smallest) latency in the table.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a generated table always has >= 1 entry (content axis is never empty)"
+    )]
     pub fn best_ps(&self) -> u64 {
-        // lint: allow(panic-policy) — invariant: a generated table always has >= 1 entry (content axis is never empty)
         *self.entries.iter().min().expect("table nonempty") as u64
     }
 

@@ -13,13 +13,15 @@ test:
 clippy:
     cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Project-invariant static analysis: per-file rules (determinism,
-# accounting safety, panic policy, bench-binary conformance) plus the
-# cross-crate semantic pass (fast/reference twins, Mergeable coverage,
-# time-unit mixing, counter overflow policy, dead pragmas). `--json`,
-# `--sarif`, `--stats` and `--list-rules` are also available on the
-# binary; see DESIGN.md §11 and §16.
+# Project-invariant static analysis. The generic rules (hash-iter,
+# wall-clock, ambient-rng, panic-policy) are clippy lints, checked
+# against their fixture corpus; ladder-lint runs the domain rules
+# (lossy-cast, bench-flags, flat-options) and the cross-crate pass
+# (fast/reference twins, Mergeable coverage, time-unit mixing, counter
+# overflow policy). `--json`, `--sarif`, `--stats` and `--list-rules` are
+# also available on the binary; see DESIGN.md §11 and §16.
 lint:
+    ./scripts/clippy-fixtures.sh
     cargo run --release -q -p ladder-lint --offline -- --root .
 
 # Machine-readable lint report for CI annotation: SARIF 2.1.0 into
@@ -28,6 +30,11 @@ lint:
 lint-sarif:
     mkdir -p results
     cargo run --release -q -p ladder-lint --offline -- --root . --sarif > results/lint.sarif
+
+# Test the benchmark package (a package of its own, so `--workspace`
+# never builds it).
+perfbench-check:
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Run the criterion-shim benches once each, which also enforces the
 # tracing disabled-path allocation gate (trace_overhead).

@@ -14,13 +14,27 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
+# Clippy also enforces the determinism and panic-policy invariants
+# (clippy.toml + [workspace.lints]); every suppression is an
+# `#[expect(lint, reason = "...")]`, and a stale one fails here as
+# `unfulfilled_lint_expectations`.
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Project-invariant gate: per-file rules (determinism / accounting /
-# panic-policy / bench-conformance) plus the cross-crate semantic pass
-# (fast-ref-twin, mergeable-coverage, unit-mixing, counter-overflow-policy,
-# dead-pragma) over every workspace source file — fails on any finding.
+# Those clippy-enforced invariants keep a fixture corpus: every marked bad
+# fixture must fire its lint and every clean line must stay silent.
+echo "==> clippy fixtures (hash-iter / wall-clock / ambient-rng / panic-policy / #[expect])"
+./scripts/clippy-fixtures.sh
+
+# perfbench/ is a package of its own, so --workspace never builds it; test
+# it here so an API change cannot break the benchmark unseen.
+echo "==> perfbench package tests"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+# Domain-rule gate: per-file rules (lossy-cast / bench-flags /
+# flat-options) plus the cross-crate semantic pass (fast-ref-twin,
+# mergeable-coverage, unit-mixing, counter-overflow-policy) over every
+# workspace source file — fails on any finding.
 # Exit codes are part of the CLI contract (0 clean / 1 findings / 2 usage
 # or I/O error) and both corpus self-checks assert them explicitly.
 # Runs before the slow bench smoke so violations fail fast.

@@ -3,6 +3,11 @@
 //! the metadata region so later writes use safe timings, and estimates
 //! re-tighten as lines are rewritten.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder::core::{LadderConfig, LadderEngine, LadderVariant};
 use ladder::reram::{AddressMap, Geometry, LineAddr, LineStore};
 use ladder::xbar::{TableConfig, TimingTable};

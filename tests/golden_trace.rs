@@ -11,6 +11,11 @@
 //! Regenerate with `just regen-golden` (or
 //! `GOLDEN_REGEN=1 cargo test --test golden_trace -- --nocapture`).
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder::sim::experiments::{ExperimentConfig, Workload};
 use ladder::sim::{Runner, Scheme, SimConfig};
 use std::path::PathBuf;

@@ -6,6 +6,11 @@
 //!
 //! See `DESIGN.md` §15 for the fast-path/reference-path discipline.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder::core::PartialCounters;
 use ladder::reram::{bits, EventQueue, Instant, QueueBackend};
 use ladder::sim::experiments::{ExperimentConfig, Workload};

@@ -10,6 +10,11 @@
 //! file (`GOLDEN_REGEN=1 cargo test --test lifetime_determinism`) and
 //! shows up in review as a one-line diff.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder::faults::FaultConfig;
 use ladder::sim::experiments::{lifetime_campaign, CampaignSpec, ExperimentConfig, Workload};
 use ladder::sim::{

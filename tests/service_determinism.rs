@@ -10,6 +10,11 @@
 //! (`GOLDEN_REGEN=1 cargo test --test service_determinism`) and shows up
 //! in review as a one-line diff.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder::reram::Instant;
 use ladder::sim::experiments::{ExperimentConfig, Workload};
 use ladder::sim::{

@@ -9,6 +9,11 @@
 //! the golden file (`GOLDEN_REGEN=1 cargo test --test shard_determinism`)
 //! and shows up in review as a one-line diff.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder::sim::experiments::{ExperimentConfig, Workload};
 use ladder::sim::{run_sharded, Runner, Scheme, SimConfig, Topology};
 use std::path::PathBuf;

@@ -4,6 +4,11 @@
 //! counter increments, so a drifting total means a record site was lost —
 //! this test is the tripwire.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use ladder::faults::FaultConfig;
 use ladder::reram::Picos;
 use ladder::sim::experiments::{ExperimentConfig, Workload};
