@@ -138,7 +138,8 @@ impl BenchArgs {
                     i += 1;
                 }
                 "--instructions" => {
-                    set_once(&mut instructions, flag_value(argv, i)?, "--instructions")?;
+                    let n = flag_value_in(argv, i, |&n: &u64| n >= 1, "N >= 1")?;
+                    set_once(&mut instructions, n, "--instructions")?;
                     i += 2;
                 }
                 "--seed" => {
@@ -146,7 +147,8 @@ impl BenchArgs {
                     i += 2;
                 }
                 "--jobs" => {
-                    set_once(&mut jobs, flag_value(argv, i)?, "--jobs")?;
+                    let n = flag_value_in(argv, i, |&n: &usize| n >= 1, "N >= 1")?;
+                    set_once(&mut jobs, n, "--jobs")?;
                     i += 2;
                 }
                 "--trace" => {
@@ -495,6 +497,18 @@ mod tests {
         }
         let err = parse(&["--tenants", "0"]).unwrap_err();
         assert!(err.contains("--tenants"), "{err}");
+        // Zero workers or a zero-instruction budget would run nothing (or
+        // report 1.000 for every speed-up) instead of failing.
+        let err = parse(&["--jobs", "0"]).unwrap_err();
+        assert!(
+            err.contains("--jobs") && err.contains("out of range"),
+            "{err}"
+        );
+        let err = parse(&["--quick", "--instructions", "0"]).unwrap_err();
+        assert!(
+            err.contains("--instructions") && err.contains("out of range"),
+            "{err}"
+        );
         assert_eq!(parse(&["--zipf", "0"]).unwrap().zipf, Some(0.0));
         assert_eq!(parse(&["--zipf", "0.99"]).unwrap().zipf, Some(0.99));
         assert_eq!(parse(&["--tenants", "1"]).unwrap().tenants, Some(1));

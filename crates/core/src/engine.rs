@@ -31,7 +31,7 @@ pub enum LadderVariant {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct LadderConfig {
     /// Scheme variant.
     pub variant: LadderVariant,

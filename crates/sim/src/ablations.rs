@@ -9,15 +9,13 @@
 //! Every sweep point is an independent simulation, so each study fans its
 //! runs out on the caller's [`Runner`].
 
-use crate::config::{run_sim, SimConfig};
+use crate::config::{run_sim, Leveling, SimConfig};
 use crate::experiments::{ExperimentConfig, Workload};
 use crate::runner::Runner;
 use crate::scheme::Scheme;
-use crate::system::{RunResult, SystemBuilder};
+use crate::system::RunResult;
 use ladder_core::{FnwPolicy, LadderConfig, LadderVariant, MetadataCacheConfig};
 use ladder_memctrl::{MemCtrlConfig, Tables};
-use ladder_reram::Geometry;
-use ladder_wear::StartGap;
 use ladder_xbar::TableConfig;
 
 /// One measured ablation point.
@@ -52,13 +50,12 @@ fn run_with_ladder_cfg(
     lcfg: LadderConfig,
     scheme: Scheme,
 ) -> RunResult {
-    let mut b = SystemBuilder::with_tables(scheme, tables);
-    for (core, bench) in workload.members().into_iter().enumerate() {
-        let (trace, mlp) = crate::experiments::trace_for(bench, core, cfg);
-        b.core(trace, mlp);
-    }
-    b.ladder_config(lcfg);
-    b.run()
+    let sim = SimConfig::builder()
+        .scheme(scheme)
+        .workload(workload)
+        .ladder(lcfg)
+        .build();
+    run_sim(&sim, cfg, tables)
 }
 
 /// Runs the shared pessimistic baseline plus one LADDER run per sweep
@@ -239,17 +236,16 @@ pub fn drain_watermark_sweep(
     let (results, _) = runner.run_jobs(watermarks.len() * schemes.len(), |i| {
         let (high, low) = watermarks[i / schemes.len()];
         let scheme = schemes[i % schemes.len()];
-        let mut b = SystemBuilder::with_tables(scheme, &tables);
-        for (core, bench) in workload.members().into_iter().enumerate() {
-            let (trace, mlp) = crate::experiments::trace_for(bench, core, cfg);
-            b.core(trace, mlp);
-        }
-        b.mem_config(MemCtrlConfig {
-            drain_high: high,
-            drain_low: low,
-            ..MemCtrlConfig::default()
-        });
-        b.run()
+        let sim = SimConfig::builder()
+            .scheme(scheme)
+            .workload(workload)
+            .mem_ctrl(MemCtrlConfig {
+                drain_high: high,
+                drain_low: low,
+                ..MemCtrlConfig::default()
+            })
+            .build();
+        run_sim(&sim, cfg, &tables)
     });
     watermarks
         .iter()
@@ -266,44 +262,25 @@ pub fn vwl_comparison(
     workload: Workload,
     runner: &Runner,
 ) -> Vec<AblationPoint> {
-    let tables = cfg.tables();
-    let (results, _) = runner.run_jobs(4, |i| match i {
-        0 => run_sim(&SimConfig::new(Scheme::Baseline, workload), cfg, &tables),
-        // No wear-leveling.
-        1 => run_sim(&SimConfig::new(Scheme::LadderEst, workload), cfg, &tables),
-        // Segment-based VWL (the LADDER-friendly kind).
-        2 => run_sim(
-            &SimConfig::builder()
-                .scheme(Scheme::LadderEst)
-                .workload(workload)
-                .wear_leveling(true)
-                .build(),
-            cfg,
-            &tables,
-        ),
-        // Line-based start-gap over the data region.
-        _ => {
-            let total_lines = Geometry::default().lines();
-            let base_line = (Geometry::default().pages() as u64 / 16) * 64;
-            let mut b = SystemBuilder::with_tables(Scheme::LadderEst, &tables);
-            for (core, bench) in workload.members().into_iter().enumerate() {
-                let (trace, mlp) = crate::experiments::trace_for(bench, core, cfg);
-                b.core(trace, mlp);
-            }
-            b.leveler(Box::new(StartGap::new(
-                base_line,
-                total_lines - base_line - 1,
-                100,
-            )));
-            b.run()
-        }
+    let levelings = [
+        (Leveling::Off, "no wear-leveling"),
+        // The LADDER-friendly kind.
+        (Leveling::Segment, "segment VWL + HWL"),
+        (Leveling::StartGap, "line-based start-gap VWL"),
+    ];
+    let (base, runs) = sweep_with_base(cfg, workload, runner, &levelings, |tables, (l, _)| {
+        let sim = SimConfig::builder()
+            .scheme(Scheme::LadderEst)
+            .workload(workload)
+            .leveling(l)
+            .build();
+        run_sim(&sim, cfg, tables)
     });
-    let base = &results[0];
-    vec![
-        point("no wear-leveling", &results[1], base),
-        point("segment VWL + HWL", &results[2], base),
-        point("line-based start-gap VWL", &results[3], base),
-    ]
+    levelings
+        .iter()
+        .zip(&runs)
+        .map(|((_, label), r)| point(*label, r, &base))
+        .collect()
 }
 
 /// Renders ablation points as an aligned table.
@@ -386,6 +363,53 @@ mod tests {
         assert!(
             (max - min) / max < 0.15,
             "granularity swing too large: {speedups:?}"
+        );
+    }
+
+    // Each test below fails if its `SimConfig` knob stops reaching the run:
+    // the varied point would then equal the unvaried one.
+
+    #[test]
+    fn drain_watermarks_reach_the_controller() {
+        let pts = drain_watermark_sweep(&tiny(), Workload::Mix("mix-1"), &runner());
+        assert_eq!(pts.len(), 3);
+        assert!(
+            pts.windows(2).any(|w| w[0].speedup != w[1].speedup),
+            "every watermark pair gave the same speedup: {pts:?}"
+        );
+    }
+
+    #[test]
+    fn ladder_override_reaches_the_engine() {
+        let cfg = tiny();
+        let tables = cfg.tables();
+        let w = Workload::Single("cannl");
+        let est = SimConfig::builder().scheme(Scheme::LadderEst).workload(w);
+        let mut lcfg = LadderConfig::for_variant(LadderVariant::Est);
+        lcfg.cache.capacity_bytes = 1024;
+        let hit = |sim: SimConfig| run_sim(&sim, &cfg, &tables).cache_hit;
+        let (small, default) = (hit(est.clone().ladder(lcfg).build()), hit(est.build()));
+        assert!(
+            small < default,
+            "1 KB cache hit {small:?} vs 64 KB {default:?}"
+        );
+
+        let pts = low_rows_sweep(&cfg, Workload::Single("astar"), &runner());
+        assert_eq!(pts.len(), 4);
+        assert!(
+            pts[0].speedup != pts[3].speedup,
+            "low-precision rows had no effect: {pts:?}"
+        );
+    }
+
+    #[test]
+    fn start_gap_leveling_reaches_the_address_path() {
+        let pts = vwl_comparison(&tiny(), Workload::Single("cannl"), &runner());
+        assert_eq!(pts.len(), 3);
+        let (off, start_gap) = (&pts[0], &pts[2]);
+        assert!(
+            off.cache_hit != start_gap.cache_hit || off.extra_reads != start_gap.extra_reads,
+            "start-gap left metadata locality untouched: {pts:?}"
         );
     }
 

@@ -3,10 +3,12 @@
 //!
 //! A [`SimConfig`] names the scheme and workload of a run plus everything
 //! that modifies it: an optional sharded [`Topology`], the address
-//! [`Interleave`] policy, wear/fault/tracing options. Monolithic runs
-//! (no topology) go through [`run_sim`]; sharded runs go through
-//! [`crate::shard::run_sharded`], which spawns one controller per channel
-//! and folds the shards deterministically.
+//! [`Interleave`] policy, controller/engine/leveling/fault/tracing
+//! options. Monolithic runs (no topology) go through [`run_sim`]; sharded
+//! runs go through [`crate::shard::run_sharded`], which spawns one
+//! controller per channel and folds the shards deterministically; runs
+//! driven by caller-supplied traces go through [`run_traces`]. All three
+//! assemble their system in the same place.
 //!
 //! Construction goes through [`SimConfig::builder`] — the struct is
 //! `#[non_exhaustive]`, so new knobs can be added without breaking
@@ -15,13 +17,14 @@
 
 use crate::experiments::{shard_trace_for, ExperimentConfig, Workload};
 use crate::scheme::Scheme;
-use crate::service::{feed_for, ServiceConfig};
-use crate::system::{RunResult, SystemBuilder};
+use crate::service::ServiceConfig;
+use crate::system::{simulate, CoreTrace, RunResult};
 use ladder_coding::CodingKind;
+use ladder_core::LadderConfig;
 use ladder_faults::FaultConfig;
-use ladder_memctrl::Tables;
+use ladder_memctrl::{MemCtrlConfig, Tables};
 use ladder_reram::{Geometry, Interleave, QueueBackend, Topology};
-use ladder_wear::{RemapKind, SegmentVwl};
+use ladder_wear::{HotPageRemapper, RemapKind, SegmentVwl, StartGap, WearLeveler};
 
 /// Full description of one simulation: scheme, workload, topology and
 /// every run-modifying option.
@@ -59,9 +62,16 @@ pub struct SimConfig {
     pub track_exact: bool,
     /// Track per-line wear (Section 6.4).
     pub track_wear: bool,
-    /// Wrap addresses with segment-based vertical wear-leveling and
-    /// horizontal byte rotation (Section 6.4).
-    pub wear_leveling: bool,
+    /// Wear-leveling wrapped around the address path (Section 6.4).
+    pub leveling: Leveling,
+    /// Memory-controller configuration: queue depths and drain
+    /// watermarks (paper Table 2 by default).
+    pub mem_ctrl: MemCtrlConfig,
+    /// LADDER engine override (cache geometry, shifting, FNW policy,
+    /// low-precision rows) for ablations; its `variant` is replaced by
+    /// the scheme's. `None` runs each variant's paper configuration;
+    /// non-LADDER schemes ignore it.
+    pub ladder: Option<LadderConfig>,
     /// Install the device fault model (stuck-at + transient write
     /// failures, P&V retries, ECC/remap recovery).
     pub faults: Option<FaultConfig>,
@@ -103,7 +113,9 @@ impl SimConfig {
                 interleave: Interleave::Channel,
                 track_exact: false,
                 track_wear: false,
-                wear_leveling: false,
+                leveling: Leveling::Off,
+                mem_ctrl: MemCtrlConfig::default(),
+                ladder: None,
                 faults: None,
                 coding: CodingKind::Flat,
                 remap: RemapKind::Retire,
@@ -125,6 +137,23 @@ impl SimConfig {
     pub fn shards(&self) -> usize {
         self.topology.map(|t| t.shards()).unwrap_or(1)
     }
+}
+
+/// Wear-leveling scheme applied to every write before it reaches the
+/// controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Leveling {
+    /// No leveling: logical lines map straight to physical lines.
+    Off,
+    /// Segment-based vertical wear-leveling plus horizontal byte rotation
+    /// — the LADDER-friendly kind (Section 6.4).
+    Segment,
+    /// Line-based start-gap over the data region, which scatters a page's
+    /// lines across wordline groups (Section 6.4's counter-example).
+    StartGap,
+    /// Adaptive remapping of write-hot pages into the bottom (fast)
+    /// wordlines — the Section 8 extension.
+    HotPage,
 }
 
 /// Builder for [`SimConfig`] — see [`SimConfig::builder`].
@@ -171,10 +200,22 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables segment-based vertical wear-leveling plus horizontal byte
-    /// rotation (Section 6.4).
-    pub fn wear_leveling(mut self, on: bool) -> Self {
-        self.cfg.wear_leveling = on;
+    /// Selects the wear-leveling scheme (default: none).
+    pub fn leveling(mut self, leveling: Leveling) -> Self {
+        self.cfg.leveling = leveling;
+        self
+    }
+
+    /// Overrides the memory-controller configuration (queue depths, drain
+    /// watermarks).
+    pub fn mem_ctrl(mut self, mem_ctrl: MemCtrlConfig) -> Self {
+        self.cfg.mem_ctrl = mem_ctrl;
+        self
+    }
+
+    /// Overrides the LADDER engine configuration for ablation studies.
+    pub fn ladder(mut self, ladder: LadderConfig) -> Self {
+        self.cfg.ladder = Some(ladder);
         self
     }
 
@@ -225,61 +266,70 @@ impl SimConfigBuilder {
     }
 }
 
-/// Assembles the [`SystemBuilder`] for one simulation of `cfg` over
-/// `geometry` — the shared setup of the monolithic and sharded paths.
-/// `shard` stamps a shard identity into the run (workload seeds and, when
-/// tracing, the trace record stream).
-pub(crate) fn builder_for(
+/// The closed-loop cores `cfg.workload` places on `geometry` (none in
+/// service mode, where the request stream replaces them). `shard` salts
+/// the workload seeds.
+pub(crate) fn workload_cores(
     cfg: &SimConfig,
     ecfg: &ExperimentConfig,
-    tables: &Tables,
-    geometry: Geometry,
+    geometry: &Geometry,
     shard: Option<u32>,
-) -> SystemBuilder {
-    let mut b = SystemBuilder::with_tables(cfg.scheme, tables);
-    b.geometry(geometry.clone());
-    b.interleave(cfg.interleave);
-    if let Some(s) = shard {
-        b.shard(s);
+) -> Vec<CoreTrace> {
+    if cfg.service.is_some() {
+        return Vec::new();
     }
-    if let Some(scfg) = &cfg.service {
-        b.service(feed_for(scfg, ecfg, &geometry, shard));
-    } else {
-        for (core, bench) in cfg.workload.members().into_iter().enumerate() {
-            let (trace, mlp) = shard_trace_for(bench, core, ecfg, &geometry, shard);
-            b.core(trace, mlp);
-        }
-    }
-    b.track_exact(cfg.track_exact);
-    b.track_wear(cfg.track_wear);
-    if cfg.wear_leveling {
-        b.leveler(make_leveler(ecfg, &geometry));
-        b.horizontal_leveling(true);
-    }
-    if let Some(fcfg) = cfg.faults {
-        b.faults(fcfg);
-        b.coding(cfg.coding);
-        b.remap(cfg.remap);
-    }
-    b.queue(cfg.queue);
-    b.tracing(cfg.trace);
-    b
+    cfg.workload
+        .members()
+        .into_iter()
+        .enumerate()
+        .map(|(core, bench)| shard_trace_for(bench, core, ecfg, geometry, shard))
+        .collect()
 }
 
-/// Segment-based VWL over the data region of `geometry`: 16 MB segments
-/// (4096 pages), swapping every 100k writes.
-fn make_leveler(ecfg: &ExperimentConfig, geometry: &Geometry) -> Box<SegmentVwl> {
-    let total = geometry.pages() as u64;
-    let base = total / 16;
-    let pages_per_segment = 4096;
-    let segments = (total - base) / pages_per_segment;
-    Box::new(SegmentVwl::new(
-        base,
-        segments,
-        pages_per_segment,
-        100_000,
-        ecfg.seed,
-    ))
+/// The vertical leveler `leveling` installs over the data region of
+/// `geometry` (above the metadata/reserve pages at `pages/16`), if any.
+pub(crate) fn make_leveler(
+    leveling: Leveling,
+    ecfg: &ExperimentConfig,
+    geometry: &Geometry,
+) -> Option<Box<dyn WearLeveler>> {
+    let pages = geometry.pages() as u64;
+    let data_base = pages / 16;
+    match leveling {
+        Leveling::Off => None,
+        // 16 MB segments (4096 pages), swapping every 100k writes.
+        Leveling::Segment => {
+            let pages_per_segment = 4096;
+            let segments = (pages - data_base) / pages_per_segment;
+            Some(Box::new(SegmentVwl::new(
+                data_base,
+                segments,
+                pages_per_segment,
+                100_000,
+                ecfg.seed,
+            )))
+        }
+        // One gap line rotating every 100 writes.
+        Leveling::StartGap => {
+            let base_line = data_base * 64;
+            Some(Box::new(StartGap::new(
+                base_line,
+                geometry.lines() - base_line - 1,
+                100,
+            )))
+        }
+        // Frames: data pages in the lowest 32 wordlines, below the cores'
+        // windows so no workload data is displaced; a page is promoted
+        // after 400 writes.
+        Leveling::HotPage => {
+            let wl_div = geometry.total_banks() as u64;
+            let frames: Vec<u64> = (0..pages)
+                .filter(|&p| (p / wl_div) % (geometry.mat_rows as u64) < 32 && p < data_base)
+                .take(4096)
+                .collect();
+            Some(Box::new(HotPageRemapper::new(frames, 400)))
+        }
+    }
 }
 
 /// Runs one monolithic (single-controller) simulation described by `cfg`.
@@ -298,12 +348,38 @@ pub fn run_sim(cfg: &SimConfig, ecfg: &ExperimentConfig, tables: &Tables) -> Run
         "run_sim is the monolithic path; run topology {} through shard::run_sharded",
         cfg.topology.map(|t| t.to_string()).unwrap_or_default()
     );
-    builder_for(cfg, ecfg, tables, Geometry::default(), None).run()
+    let geometry = Geometry::default();
+    let cores = workload_cores(cfg, ecfg, &geometry, None);
+    simulate(cfg, ecfg, tables, geometry, None, cores)
+}
+
+/// Runs one monolithic simulation whose cores replay caller-supplied
+/// trace sources — `(trace, MLP)` per core — instead of `cfg.workload`.
+/// Every other knob of `cfg` applies as in [`run_sim`].
+///
+/// # Panics
+///
+/// Panics if `cores` is empty, or if `cfg` names a topology or a service
+/// stream: both replace the caller's cores, so they run through
+/// [`crate::shard::run_sharded`] and [`run_sim`].
+pub fn run_traces(
+    cfg: &SimConfig,
+    ecfg: &ExperimentConfig,
+    tables: &Tables,
+    cores: Vec<CoreTrace>,
+) -> RunResult {
+    assert!(
+        cfg.topology.is_none() && cfg.service.is_none(),
+        "run_traces drives caller-supplied cores on the monolithic path; run topologies \
+         through shard::run_sharded and service streams through run_sim"
+    );
+    simulate(cfg, ecfg, tables, Geometry::default(), None, cores)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ladder_core::LadderVariant;
 
     #[test]
     fn builder_defaults_are_the_monolithic_baseline() {
@@ -312,7 +388,10 @@ mod tests {
         assert_eq!(cfg.workload, Workload::Single("astar"));
         assert!(cfg.topology.is_none());
         assert_eq!(cfg.interleave, Interleave::Channel);
-        assert!(!cfg.track_exact && !cfg.track_wear && !cfg.wear_leveling);
+        assert!(!cfg.track_exact && !cfg.track_wear);
+        assert_eq!(cfg.leveling, Leveling::Off);
+        assert_eq!(cfg.mem_ctrl, MemCtrlConfig::default());
+        assert!(cfg.ladder.is_none());
         assert!(cfg.faults.is_none() && !cfg.trace);
         assert_eq!(cfg.coding, CodingKind::Flat);
         assert_eq!(cfg.remap, RemapKind::Retire);
@@ -330,7 +409,12 @@ mod tests {
             .interleave(Interleave::Page)
             .track_exact(true)
             .track_wear(true)
-            .wear_leveling(true)
+            .leveling(Leveling::StartGap)
+            .mem_ctrl(MemCtrlConfig {
+                drain_high: 40,
+                ..MemCtrlConfig::default()
+            })
+            .ladder(LadderConfig::for_variant(LadderVariant::Hybrid))
             .faults(FaultConfig::with_ber(7, 1e-5))
             .coding(CodingKind::TieredBch)
             .remap(RemapKind::Pad)
@@ -341,7 +425,10 @@ mod tests {
         assert_eq!(cfg.scheme, Scheme::LadderHybrid);
         assert_eq!(cfg.shards(), 4);
         assert_eq!(cfg.interleave, Interleave::Page);
-        assert!(cfg.track_exact && cfg.track_wear && cfg.wear_leveling && cfg.trace);
+        assert!(cfg.track_exact && cfg.track_wear && cfg.trace);
+        assert_eq!(cfg.leveling, Leveling::StartGap);
+        assert_eq!(cfg.mem_ctrl.drain_high, 40);
+        assert_eq!(cfg.ladder.unwrap().variant, LadderVariant::Hybrid);
         assert!(cfg.faults.is_some());
         assert_eq!(cfg.coding, CodingKind::TieredBch);
         assert_eq!(cfg.remap, RemapKind::Pad);
@@ -358,5 +445,27 @@ mod tests {
         let ecfg = ExperimentConfig::quick();
         let tables = ecfg.tables();
         let _ = run_sim(&cfg, &ecfg, &tables);
+    }
+
+    #[test]
+    #[should_panic(expected = "caller-supplied cores")]
+    fn run_traces_rejects_sharded_configs() {
+        let cfg = SimConfig::builder()
+            .topology(Topology::new(2, 2).unwrap())
+            .build();
+        let ecfg = ExperimentConfig::quick();
+        let tables = ecfg.tables();
+        let _ = run_traces(&cfg, &ecfg, &tables, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "caller-supplied cores")]
+    fn run_traces_rejects_service_configs() {
+        let cfg = SimConfig::builder()
+            .service(ServiceConfig::builder().build())
+            .build();
+        let ecfg = ExperimentConfig::quick();
+        let tables = ecfg.tables();
+        let _ = run_traces(&cfg, &ecfg, &tables, Vec::new());
     }
 }

@@ -5,12 +5,12 @@
 //! `ladder-bench` binaries call these functions and print the same rows and
 //! series the paper reports.
 
-use crate::config::{run_sim, SimConfig};
+use crate::config::{run_sim, Leveling, SimConfig};
 use crate::runner::{AloneIpcCache, Runner, RunnerStats};
 use crate::scheme::Scheme;
 use crate::service::ServiceConfig;
 use crate::shard::run_sharded;
-use crate::system::{RunResult, SystemBuilder};
+use crate::system::RunResult;
 use ladder_coding::{CodingKind, CodingStats};
 use ladder_cpu::TraceSource;
 use ladder_faults::{FaultConfig, FaultStats};
@@ -761,7 +761,7 @@ pub fn lifetime(cfg: &ExperimentConfig, workload: Workload, runner: &Runner) -> 
             .scheme(s)
             .workload(workload)
             .track_wear(true)
-            .wear_leveling(true)
+            .leveling(Leveling::Segment)
             .build()
     };
     let mut specs: Vec<SimConfig> = schemes.iter().map(|&s| leveled(s)).collect();
@@ -935,6 +935,19 @@ mod tests {
             instructions_per_core: 40_000,
             ..ExperimentConfig::default()
         }
+    }
+
+    #[test]
+    fn hot_page_leveling_reaches_the_address_path() {
+        // Remapping write-hot pages into the fast bottom rows must change
+        // the write-recovery time; equal values mean the leveler was
+        // never installed.
+        let r = hot_remap_extension(&tiny_cfg(), Workload::Mix("mix-1"), &Runner::with_jobs(2));
+        assert!(
+            r.twr_remap_ns != r.twr_ladder_ns,
+            "hot-page remap left tWR at {} ns",
+            r.twr_ladder_ns
+        );
     }
 
     #[test]
@@ -1160,35 +1173,18 @@ pub fn hot_remap_extension(
     workload: Workload,
     runner: &Runner,
 ) -> HotRemapResult {
-    use ladder_wear::HotPageRemapper;
-
     let tables = cfg.tables();
-    // Frames: data pages in the lowest 32 wordlines, outside the cores'
-    // windows so no workload data is displaced.
-    let geometry = Geometry::default();
-    let wl_div = geometry.total_banks() as u64;
-    let window_base = geometry.pages() as u64 / 16;
-    let frames: Vec<u64> = (0..geometry.pages() as u64)
-        .filter(|&p| (p / wl_div) % (geometry.mat_rows as u64) < 32 && p < window_base)
-        .take(4096)
-        .collect();
-    let (runs, _) = runner.run_jobs(3, |i| match i {
-        0 => run_sim(&SimConfig::new(Scheme::Baseline, workload), cfg, &tables),
-        1 => run_sim(
-            &SimConfig::new(Scheme::LadderHybrid, workload),
-            cfg,
-            &tables,
-        ),
-        _ => {
-            let mut b = SystemBuilder::with_tables(Scheme::LadderHybrid, &tables);
-            for (core, bench) in workload.members().into_iter().enumerate() {
-                let (trace, mlp) = trace_for(bench, core, cfg);
-                b.core(trace, mlp);
-            }
-            b.leveler(Box::new(HotPageRemapper::new(frames.clone(), 400)));
-            b.run()
-        }
-    });
+    let remap = SimConfig::builder()
+        .scheme(Scheme::LadderHybrid)
+        .workload(workload)
+        .leveling(Leveling::HotPage)
+        .build();
+    let specs = [
+        SimConfig::new(Scheme::Baseline, workload),
+        SimConfig::new(Scheme::LadderHybrid, workload),
+        remap,
+    ];
+    let (runs, _) = runner.run_jobs(specs.len(), |i| run_sim(&specs[i], cfg, &tables));
     let (base, plain, remapped) = (&runs[0], &runs[1], &runs[2]);
     let twr = |r: &RunResult| {
         if r.mem.data_writes == 0 {

@@ -7,10 +7,12 @@
 //! — into runnable systems, and exposes one function per paper table or
 //! figure in [`experiments`].
 //!
-//! The front door is the topology-aware [`SimConfig`] builder: a
-//! monolithic (single-controller) config runs through [`run_sim`], and a
-//! sharded `channels × ranks` [`Topology`] runs through [`run_sharded`],
-//! which folds the per-channel shards bit-reproducibly at any `--jobs`.
+//! The front door is the topology-aware [`SimConfig`] builder — the one
+//! description of a run: a monolithic (single-controller) config runs
+//! through [`run_sim`], a sharded `channels × ranks` [`Topology`] runs
+//! through [`run_sharded`], which folds the per-channel shards
+//! bit-reproducibly at any `--jobs`, and [`run_traces`] replays
+//! caller-supplied trace sources on the monolithic system.
 
 // hash-iter: no HashMap/HashSet outside test code (see clippy.toml).
 #![cfg_attr(not(test), warn(clippy::disallowed_types))]
@@ -26,12 +28,12 @@ pub mod shard;
 mod system;
 pub mod wallclock;
 
-pub use config::{run_sim, SimConfig, SimConfigBuilder};
+pub use config::{run_sim, run_traces, Leveling, SimConfig, SimConfigBuilder};
 pub use runner::{default_jobs, AloneIpcCache, Runner, RunnerStats};
 pub use scheme::Scheme;
 pub use service::{ArrivalKind, ServiceConfig, ServiceConfigBuilder, ServiceStats};
 pub use shard::{run_sharded, ShardedRun};
-pub use system::{CoreResult, EventCounts, RunResult, SystemBuilder};
+pub use system::{CoreResult, CoreTrace, EventCounts, RunResult};
 
 // Re-exported so bench binaries can parse and build topologies without
 // depending on ladder-reram directly.

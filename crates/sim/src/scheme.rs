@@ -86,15 +86,12 @@ impl Scheme {
         ladder_override: Option<LadderConfig>,
     ) -> Box<dyn WritePolicy> {
         let ladder = |variant: LadderVariant| -> Box<dyn WritePolicy> {
-            let mut cfg = match &ladder_override {
-                Some(c) => {
-                    let mut c = c.clone();
-                    c.variant = variant;
-                    c
-                }
-                None => LadderConfig::for_variant(variant),
+            let base = ladder_override.unwrap_or_else(|| LadderConfig::for_variant(variant));
+            let cfg = LadderConfig {
+                variant,
+                track_exact,
+                ..base
             };
-            cfg.track_exact = track_exact;
             Box::new(LadderPolicy::new(cfg, ladder_table.clone(), map.clone()))
         };
         match self {

@@ -3,18 +3,18 @@
 //!
 //! A topology `C x R` splits the module into `C` shards, each a
 //! one-channel slice ([`Topology::shard_geometry`]) driven by its own
-//! [`crate::system::SystemBuilder`]-built event kernel with a
+//! event kernel (the same system assembly as [`crate::run_sim`]) with a
 //! shard-salted workload stream. Shards are fully independent
 //! simulations, so they fan out on the work-stealing [`Runner`] — and
 //! because the runner returns results in submission order, every merged
 //! statistic and the merged golden-trace digest are bit-identical at any
 //! `--jobs`.
 
-use crate::config::{builder_for, SimConfig};
+use crate::config::{workload_cores, SimConfig};
 use crate::experiments::ExperimentConfig;
 use crate::runner::{Runner, RunnerStats};
 use crate::service::ServiceStats;
-use crate::system::{EventCounts, RunResult};
+use crate::system::{simulate, EventCounts, RunResult};
 use ladder_coding::CodingStats;
 use ladder_energy::EnergyBreakdown;
 use ladder_faults::FaultStats;
@@ -130,7 +130,9 @@ pub fn run_sharded(
         .expect("run_sharded requires a topology; monolithic configs go through run_sim");
     let shard_geometry = topology.shard_geometry(&Geometry::default());
     let (shards, stats) = runner.run_jobs(topology.shards(), |s| {
-        builder_for(cfg, ecfg, tables, shard_geometry.clone(), Some(s as u32)).run()
+        let shard = Some(s as u32);
+        let cores = workload_cores(cfg, ecfg, &shard_geometry, shard);
+        simulate(cfg, ecfg, tables, shard_geometry.clone(), shard, cores)
     });
 
     let mut mem = MemStats::default();

@@ -10,26 +10,25 @@
 //! data bursts are delivered to their cores at their exact completion
 //! times.
 
+use crate::config::{make_leveler, Leveling, SimConfig};
+use crate::experiments::ExperimentConfig;
 use crate::scheme::Scheme;
-use crate::service::ServiceStats;
-use ladder_coding::{CodingKind, CodingStats};
-use ladder_core::LadderConfig;
+use crate::service::{feed_for, ServiceStats};
+use ladder_coding::CodingStats;
 use ladder_cpu::{Core, CoreAction, CoreConfig, TraceOp, TraceSource};
 use ladder_energy::{EnergyBreakdown, EnergyMeter, EnergyParams};
-use ladder_faults::{CellFaultModel, FaultConfig, FaultStats, SharedCellFaultModel};
+use ladder_faults::{CellFaultModel, FaultStats, SharedCellFaultModel};
 use ladder_memctrl::{
-    CtrlWake, CwTrace, LatencyHistogram, MemCtrlConfig, MemStats, MemoryController, ReqId, Tables,
+    CtrlWake, CwTrace, LatencyHistogram, MemStats, MemoryController, ReqId, Tables,
 };
-use ladder_reram::{
-    AddressMap, EventQueue, Geometry, Instant, Interleave, LineAddr, Picos, QueueBackend,
-};
+use ladder_reram::{AddressMap, EventQueue, Geometry, Instant, LineAddr, Picos};
 use ladder_trace::{DispatchKind, Mergeable, Trace, TraceRecord, TraceRecorder};
 use ladder_wear::{
     RemapBackend, RemapKind, RotateHwl, SharedPadRemapper, SharedRetirePool, SharedWearMap,
     WearLeveler,
 };
 use ladder_workloads::service::ServiceGen;
-use ladder_xbar::{CrossbarParams, TimingTable};
+use ladder_xbar::CrossbarParams;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Per-core outcome of a run.
@@ -80,10 +79,10 @@ pub struct RunResult {
     /// kernel that drove this run.
     pub events: EventCounts,
     /// The assembled structured trace, when tracing was requested
-    /// ([`SystemBuilder::tracing`]).
+    /// ([`SimConfig::trace`]).
     pub trace: Option<Trace>,
     /// Open-loop service statistics, when a service stream drove the run
-    /// ([`SystemBuilder::service`]).
+    /// ([`SimConfig::service`]).
     pub service: Option<ServiceStats>,
 }
 
@@ -215,364 +214,193 @@ impl RunResult {
     }
 }
 
-/// Everything needed to run one configuration.
-pub struct SystemBuilder {
-    geometry: Geometry,
-    interleave: Interleave,
-    shard: Option<u32>,
-    mem_cfg: MemCtrlConfig,
-    core_cfg: CoreConfig,
-    params: CrossbarParams,
-    ladder_table: TimingTable,
-    blp_table: TimingTable,
-    scheme: Scheme,
-    traces: Vec<Box<dyn TraceSource>>,
-    core_mlps: Vec<usize>,
-    track_exact: bool,
-    track_wear: bool,
-    leveler: Option<Box<dyn WearLeveler>>,
-    hwl: Option<RotateHwl>,
-    energy_params: EnergyParams,
-    ladder_override: Option<LadderConfig>,
-    fault_cfg: Option<FaultConfig>,
-    coding: CodingKind,
-    remap_kind: RemapKind,
-    queue: QueueBackend,
-    tracing: bool,
-    service: Option<ServiceGen>,
+/// One closed-loop core: its trace source and its memory-level
+/// parallelism (MSHRs).
+pub type CoreTrace = (Box<dyn TraceSource>, usize);
+
+/// Spare frames for fault-driven page retirement: a slice of the reserved
+/// low-page region (below the workload windows at `pages/16`, above the
+/// metadata pages at the bottom).
+fn spare_frames(geometry: &Geometry) -> Vec<u64> {
+    let reserve_base = geometry.pages() as u64 / 32;
+    (reserve_base..reserve_base + 2048).collect()
 }
 
-impl SystemBuilder {
-    /// Starts a builder for `scheme`, cloning both tables out of a shared
-    /// [`Tables`] bundle.
-    pub fn with_tables(scheme: Scheme, tables: &Tables) -> Self {
-        Self::new(scheme, tables.ladder.clone(), tables.blp.clone())
-    }
-
-    /// Starts a builder for `scheme` over shared timing tables.
-    pub fn new(scheme: Scheme, ladder_table: TimingTable, blp_table: TimingTable) -> Self {
-        Self {
-            geometry: Geometry::default(),
-            interleave: Interleave::Channel,
-            shard: None,
-            mem_cfg: MemCtrlConfig::default(),
-            core_cfg: CoreConfig::default(),
-            params: CrossbarParams::default(),
-            ladder_table,
-            blp_table,
-            scheme,
-            traces: Vec::new(),
-            core_mlps: Vec::new(),
-            track_exact: false,
-            track_wear: false,
-            leveler: None,
-            hwl: None,
-            energy_params: EnergyParams::default(),
-            ladder_override: None,
-            fault_cfg: None,
-            coding: CodingKind::Flat,
-            remap_kind: RemapKind::Retire,
-            queue: QueueBackend::default(),
-            tracing: false,
-            service: None,
-        }
-    }
-
-    /// Overrides the module geometry (default: [`Geometry::default`]).
-    /// The sharded runner uses this to hand each shard its one-channel
-    /// slice of the topology.
-    pub fn geometry(&mut self, g: Geometry) -> &mut Self {
-        self.geometry = g;
-        self
-    }
-
-    /// Sets the address striping policy (default: the legacy
-    /// channel-fastest order, which golden traces depend on).
-    pub fn interleave(&mut self, interleave: Interleave) -> &mut Self {
-        self.interleave = interleave;
-        self
-    }
-
-    /// Stamps this run as shard `index` of a sharded topology: when
-    /// tracing, the kernel emits a [`TraceRecord::ShardTag`] at `t = 0`
-    /// so each shard's digest is bound to its identity.
-    pub fn shard(&mut self, index: u32) -> &mut Self {
-        self.shard = Some(index);
-        self
-    }
-
-    /// Selects the kernel event-queue backend. Both backends dispatch in
-    /// the same deterministic order (ascending `(Instant, seq)`), so a run
-    /// is bit-identical under either; the heap is kept as the reference
-    /// implementation for differential tests.
-    pub fn queue(&mut self, backend: QueueBackend) -> &mut Self {
-        self.queue = backend;
-        self
-    }
-
-    /// Enables structured tracing: the kernel and the controller each get
-    /// an enabled [`TraceRecorder`], and the run's [`RunResult::trace`]
-    /// carries the assembled [`Trace`]. Off by default (the disabled
-    /// recorders cost one branch per record site).
-    pub fn tracing(&mut self, on: bool) -> &mut Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Adds a core running `trace` with the given MLP.
-    pub fn core(&mut self, trace: Box<dyn TraceSource>, mlp: usize) -> &mut Self {
-        self.traces.push(trace);
-        self.core_mlps.push(mlp);
-        self
-    }
-
-    /// Installs an open-loop service stream: the kernel pumps timestamped
-    /// `RequestArrival` events from `gen` instead of (or alongside)
-    /// back-pressure-driven cores, and the run's
-    /// [`RunResult::service`] carries per-tenant latency statistics.
-    pub fn service(&mut self, gen: ServiceGen) -> &mut Self {
-        self.service = Some(gen);
-        self
-    }
-
-    /// Overrides the LADDER engine configuration (cache geometry,
-    /// shifting, FNW policy, low-precision rows) for ablation studies;
-    /// ignored by non-LADDER schemes.
-    pub fn ladder_config(&mut self, cfg: LadderConfig) -> &mut Self {
-        self.ladder_override = Some(cfg);
-        self
-    }
-
-    /// Overrides the memory-controller configuration (queue depths, drain
-    /// watermarks).
-    pub fn mem_config(&mut self, cfg: MemCtrlConfig) -> &mut Self {
-        self.mem_cfg = cfg;
-        self
-    }
-
-    /// Enables the per-write exact-counter trace (Fig. 15).
-    pub fn track_exact(&mut self, on: bool) -> &mut Self {
-        self.track_exact = on;
-        self
-    }
-
-    /// Enables wear tracking.
-    pub fn track_wear(&mut self, on: bool) -> &mut Self {
-        self.track_wear = on;
-        self
-    }
-
-    /// Installs a vertical wear-leveler (applied before LADDER).
-    pub fn leveler(&mut self, l: Box<dyn WearLeveler>) -> &mut Self {
-        self.leveler = Some(l);
-        self
-    }
-
-    /// Installs horizontal wear-leveling (intra-line byte rotation).
-    pub fn horizontal_leveling(&mut self, on: bool) -> &mut Self {
-        self.hwl = if on { Some(RotateHwl::new()) } else { None };
-        self
-    }
-
-    /// Installs the device fault model: stuck-at and transient write
-    /// failures, program-and-verify retries in the controller, and
-    /// ECC/retire recovery. An inert (all-zero-rate) config leaves the run
-    /// bit-identical to one without this call.
-    pub fn faults(&mut self, cfg: FaultConfig) -> &mut Self {
-        self.fault_cfg = Some(cfg);
-        self
-    }
-
-    /// Selects the code scheme the fault model resolves residues with.
-    /// The default, [`CodingKind::Flat`], reproduces the legacy flat
-    /// SEC-DED budget bit-for-bit. No effect without [`Self::faults`].
-    pub fn coding(&mut self, kind: CodingKind) -> &mut Self {
-        self.coding = kind;
-        self
-    }
-
-    /// Selects the remap backend absorbing faulty pages. The default,
-    /// [`RemapKind::Retire`], reproduces the legacy one-way retirement
-    /// pool bit-for-bit. No effect without [`Self::faults`].
-    pub fn remap(&mut self, kind: RemapKind) -> &mut Self {
-        self.remap_kind = kind;
-        self
-    }
-
-    /// Spare frames for fault-driven page retirement: a slice of the
-    /// reserved low-page region (below the workload windows at
-    /// `pages/16`, above the metadata pages at the bottom).
-    fn spare_frames(geometry: &Geometry) -> Vec<u64> {
-        let reserve_base = geometry.pages() as u64 / 32;
-        (reserve_base..reserve_base + 2048).collect()
-    }
-
-    /// Runs the configured system to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if neither cores nor a service stream were added.
-    pub fn run(self) -> RunResult {
-        assert!(
-            !self.traces.is_empty() || self.service.is_some(),
-            "at least one core or a service stream required"
-        );
-        let map = AddressMap::with_interleave(self.geometry.clone(), self.interleave);
-        let policy = self.scheme.build_policy_with(
-            &self.params,
-            &self.ladder_table,
-            &self.blp_table,
-            &map,
-            self.track_exact,
-            self.ladder_override.clone(),
-        );
-        let mut mc = MemoryController::new(self.mem_cfg, map, policy);
-        let wear = if self.track_wear {
-            let shared = SharedWearMap::new();
-            mc.set_observer(shared.clone());
-            Some(shared)
-        } else {
-            None
+/// Assembles and runs one simulation of `cfg` over `geometry` — the single
+/// system constructor behind [`crate::run_sim`], [`crate::run_sharded`]
+/// and [`crate::config::run_traces`]. `cores` are the closed-loop cores;
+/// `cfg.service`, when set, adds the open-loop request stream. `shard`
+/// stamps a shard identity into the service seeds and, when tracing, the
+/// trace record stream.
+///
+/// # Panics
+///
+/// Panics if there are neither cores nor a service stream.
+pub(crate) fn simulate(
+    cfg: &SimConfig,
+    ecfg: &ExperimentConfig,
+    tables: &Tables,
+    geometry: Geometry,
+    shard: Option<u32>,
+    cores: Vec<CoreTrace>,
+) -> RunResult {
+    assert!(
+        !cores.is_empty() || cfg.service.is_some(),
+        "at least one core or a service stream required"
+    );
+    let leveler = make_leveler(cfg.leveling, ecfg, &geometry);
+    let map = AddressMap::with_interleave(geometry.clone(), cfg.interleave);
+    let policy = cfg.scheme.build_policy_with(
+        &CrossbarParams::default(),
+        &tables.ladder,
+        &tables.blp,
+        &map,
+        cfg.track_exact,
+        cfg.ladder,
+    );
+    let mut mc = MemoryController::new(cfg.mem_ctrl, map, policy);
+    let wear = if cfg.track_wear {
+        let shared = SharedWearMap::new();
+        mc.set_observer(shared.clone());
+        Some(shared)
+    } else {
+        None
+    };
+    // The fault model always samples against the physical LADDER table
+    // (it describes the device, not the active policy), so every scheme
+    // faces identical raw fault pressure.
+    let fault_model = cfg.faults.map(|fcfg| {
+        let frames = spare_frames(&geometry);
+        let backend = match cfg.remap {
+            RemapKind::Retire => RemapBackend::Retire(SharedRetirePool::with_spares(frames)),
+            // Same wear-rotation cadence as the segment VWL leveler.
+            RemapKind::Pad => RemapBackend::Pad(SharedPadRemapper::new(frames, 100_000)),
         };
-        // The fault model always samples against the physical LADDER table
-        // (it describes the device, not the active policy), so every scheme
-        // faces identical raw fault pressure.
-        let coding_kind = self.coding;
-        let remap_kind = self.remap_kind;
-        let fault_model = self.fault_cfg.map(|fcfg| {
-            let frames = Self::spare_frames(&self.geometry);
-            let backend = match remap_kind {
-                RemapKind::Retire => RemapBackend::Retire(SharedRetirePool::with_spares(frames)),
-                // Same wear-rotation cadence as the segment VWL leveler.
-                RemapKind::Pad => RemapBackend::Pad(SharedPadRemapper::new(frames, 100_000)),
+        let model = CellFaultModel::new(
+            fcfg,
+            tables.ladder.clone(),
+            AddressMap::with_interleave(geometry.clone(), cfg.interleave),
+        )
+        .with_coding(cfg.coding)
+        .with_remap_backend(backend.clone());
+        let shared = SharedCellFaultModel::new(model);
+        mc.set_fault_injector(shared.clone());
+        (shared, backend)
+    });
+    let mut cores: Vec<Core> = cores
+        .into_iter()
+        .map(|(t, mlp)| {
+            let core_cfg = CoreConfig {
+                mlp,
+                ..CoreConfig::default()
             };
-            let model = CellFaultModel::new(
-                fcfg,
-                self.ladder_table.clone(),
-                AddressMap::with_interleave(self.geometry.clone(), self.interleave),
-            )
-            .with_coding(coding_kind)
-            .with_remap_backend(backend.clone());
-            let shared = SharedCellFaultModel::new(model);
-            mc.set_fault_injector(shared.clone());
-            (shared, backend)
-        });
-        let mut cores: Vec<Core> = self
-            .traces
-            .into_iter()
-            .zip(&self.core_mlps)
-            .map(|(t, &mlp)| {
-                let cfg = CoreConfig {
-                    mlp,
-                    ..self.core_cfg
-                };
-                Core::new(cfg, t)
-            })
-            .collect();
+            Core::new(core_cfg, t)
+        })
+        .collect();
 
-        let service = self.service.map(|gen| {
-            // Register every tenant up front so idle tenants still appear
-            // in the folded report.
-            let mut stats = ServiceStats::default();
-            for t in gen.mix().tenants() {
-                stats
-                    .tenants
-                    .ensure(&t.name, (t.weight * 1e6) as u64, t.qos.code());
-            }
-            ServiceState {
-                gen,
-                next: None,
-                pending: VecDeque::new(),
-                inflight: BTreeMap::new(),
-                stats,
-            }
-        });
-        let mut sim = EventKernel {
-            mc,
-            leveler: self.leveler,
-            remap: fault_model.as_ref().map(|(_, backend)| backend.clone()),
-            hwl: self.hwl,
-            pending_reads: BTreeMap::new(),
-            pending_migrations: VecDeque::new(),
-            core_finish: vec![None; cores.len()],
-            events: EventQueue::with_backend(self.queue),
-            core_wake: vec![None; cores.len()],
-            waiting: vec![false; cores.len()],
-            last_process: None,
-            ctrl_dirty: false,
-            counts: EventCounts::default(),
-            recorder: if self.tracing {
-                TraceRecorder::enabled()
-            } else {
-                TraceRecorder::disabled()
-            },
-            service,
-        };
-        if self.tracing {
-            sim.mc.set_trace_recorder(TraceRecorder::enabled());
+    let service = cfg.service.as_ref().map(|scfg| {
+        let gen = feed_for(scfg, ecfg, &geometry, shard);
+        // Register every tenant up front so idle tenants still appear in
+        // the folded report.
+        let mut stats = ServiceStats::default();
+        for t in gen.mix().tenants() {
+            stats
+                .tenants
+                .ensure(&t.name, (t.weight * 1e6) as u64, t.qos.code());
         }
-        if let Some(shard) = self.shard {
-            // Bind the shard identity into the trace stream (and hence
-            // the digest) before any kernel event fires. A no-op unless
-            // tracing is on.
-            sim.recorder
-                .record(Instant::ZERO, TraceRecord::ShardTag { shard });
+        ServiceState {
+            gen,
+            next: None,
+            pending: VecDeque::new(),
+            inflight: BTreeMap::new(),
+            stats,
         }
-        let end = sim.run(&mut cores);
-
-        let core_results: Vec<CoreResult> = cores
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let finish = sim.core_finish[i].unwrap_or(end);
-                CoreResult {
-                    label: c.label().to_string(),
-                    retired: c.retired_instructions(),
-                    ipc: c.ipc(finish),
-                    finish,
-                    stall: c.stall_time(),
-                }
-            })
-            .collect();
-
-        let trace = if self.tracing {
-            let kernel_rec = std::mem::replace(&mut sim.recorder, TraceRecorder::disabled());
-            let mc_rec = sim.mc.take_trace_recorder();
-            Some(Trace::assemble(vec![
-                ("kernel", kernel_rec),
-                ("memctrl", mc_rec),
-            ]))
+    });
+    let mut sim = EventKernel {
+        mc,
+        leveler,
+        remap: fault_model.as_ref().map(|(_, backend)| backend.clone()),
+        hwl: (cfg.leveling == Leveling::Segment).then(RotateHwl::new),
+        pending_reads: BTreeMap::new(),
+        pending_migrations: VecDeque::new(),
+        core_finish: vec![None; cores.len()],
+        events: EventQueue::with_backend(cfg.queue),
+        core_wake: vec![None; cores.len()],
+        waiting: vec![false; cores.len()],
+        last_process: None,
+        ctrl_dirty: false,
+        counts: EventCounts::default(),
+        recorder: if cfg.trace {
+            TraceRecorder::enabled()
         } else {
-            None
-        };
+            TraceRecorder::disabled()
+        },
+        service,
+    };
+    if cfg.trace {
+        sim.mc.set_trace_recorder(TraceRecorder::enabled());
+    }
+    if let Some(shard) = shard {
+        // Bind the shard identity into the trace stream (and hence the
+        // digest) before any kernel event fires. A no-op unless tracing
+        // is on.
+        sim.recorder
+            .record(Instant::ZERO, TraceRecord::ShardTag { shard });
+    }
+    let end = sim.run(&mut cores);
 
-        let mem = sim.mc.stats();
-        let mut meter = EnergyMeter::new(self.energy_params);
-        meter.record_reads(mem.demand_reads + mem.smb_reads + mem.metadata_reads);
-        meter.record_write_aggregate(
-            mem.t_wr_data + mem.t_wr_metadata,
-            mem.bits_set + mem.bits_reset,
-            mem.data_writes + mem.metadata_writes,
-        );
-        RunResult {
-            scheme: self.scheme,
-            cores: core_results,
-            mem,
-            energy: meter.breakdown(),
-            end,
-            cw_trace: sim.mc.policy().cw_trace(),
-            cache_hit: sim.mc.policy().cache_hit_ratio(),
-            fnw: sim.mc.policy().fnw_stats(),
-            read_histogram: sim.mc.read_histogram().clone(),
-            wear,
-            coding: fault_model
-                .as_ref()
-                .map(|(shared, _)| shared.coding_stats()),
-            faults: fault_model.map(|(shared, _)| shared.stats()),
-            events: sim.counts,
-            trace,
-            service: sim.service.map(|s| s.stats),
-        }
+    let core_results: Vec<CoreResult> = cores
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let finish = sim.core_finish[i].unwrap_or(end);
+            CoreResult {
+                label: c.label().to_string(),
+                retired: c.retired_instructions(),
+                ipc: c.ipc(finish),
+                finish,
+                stall: c.stall_time(),
+            }
+        })
+        .collect();
+
+    let trace = if cfg.trace {
+        let kernel_rec = std::mem::replace(&mut sim.recorder, TraceRecorder::disabled());
+        let mc_rec = sim.mc.take_trace_recorder();
+        Some(Trace::assemble(vec![
+            ("kernel", kernel_rec),
+            ("memctrl", mc_rec),
+        ]))
+    } else {
+        None
+    };
+
+    let mem = sim.mc.stats();
+    let mut meter = EnergyMeter::new(EnergyParams::default());
+    meter.record_reads(mem.demand_reads + mem.smb_reads + mem.metadata_reads);
+    meter.record_write_aggregate(
+        mem.t_wr_data + mem.t_wr_metadata,
+        mem.bits_set + mem.bits_reset,
+        mem.data_writes + mem.metadata_writes,
+    );
+    RunResult {
+        scheme: cfg.scheme,
+        cores: core_results,
+        mem,
+        energy: meter.breakdown(),
+        end,
+        cw_trace: sim.mc.policy().cw_trace(),
+        cache_hit: sim.mc.policy().cache_hit_ratio(),
+        fnw: sim.mc.policy().fnw_stats(),
+        read_histogram: sim.mc.read_histogram().clone(),
+        wear,
+        coding: fault_model
+            .as_ref()
+            .map(|(shared, _)| shared.coding_stats()),
+        faults: fault_model.map(|(shared, _)| shared.stats()),
+        events: sim.counts,
+        trace,
+        service: sim.service.map(|s| s.stats),
     }
 }
 
@@ -1041,13 +869,27 @@ impl EventKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{run_sim, run_traces};
+    use crate::service::ServiceConfig;
     use ladder_cpu::{MemEvent, TraceOp, VecTrace};
-    use ladder_memctrl::standard_tables;
+    use ladder_memctrl::{standard_tables, MemCtrlConfig};
     use ladder_xbar::TableConfig;
 
-    fn tables() -> (TimingTable, TimingTable) {
-        let t = standard_tables(&TableConfig::ladder_default());
-        (t.ladder, t.blp)
+    fn tables() -> Tables {
+        standard_tables(&TableConfig::ladder_default())
+    }
+
+    /// Runs `cfg` over caller-supplied `(trace, MLP)` cores.
+    fn run_cores(cfg: SimConfig, tables: &Tables, cores: Vec<(VecTrace, usize)>) -> RunResult {
+        let cores = cores
+            .into_iter()
+            .map(|(t, mlp)| (Box::new(t) as Box<dyn TraceSource>, mlp))
+            .collect();
+        run_traces(&cfg, &ExperimentConfig::default(), tables, cores)
+    }
+
+    fn scheme(scheme: Scheme) -> SimConfig {
+        SimConfig::builder().scheme(scheme).build()
     }
 
     fn simple_trace(n: u64, base_page: u64) -> VecTrace {
@@ -1072,10 +914,11 @@ mod tests {
 
     #[test]
     fn single_core_run_completes() {
-        let (lt, bt) = tables();
-        let mut b = SystemBuilder::new(Scheme::Baseline, lt, bt);
-        b.core(Box::new(simple_trace(300, 40_000)), 8);
-        let r = b.run();
+        let r = run_cores(
+            scheme(Scheme::Baseline),
+            &tables(),
+            vec![(simple_trace(300, 40_000), 8)],
+        );
         assert_eq!(r.cores.len(), 1);
         assert!(r.cores[0].retired > 0);
         assert!(r.cores[0].ipc > 0.0);
@@ -1100,17 +943,17 @@ mod tests {
         // invent one. The event kernel must drain purely from registered
         // wakes (WorkArrived → ModeSwitch → QueueSlotFree), with no nudge
         // and no iteration guard.
-        let (lt, bt) = tables();
-        let mut b = SystemBuilder::new(Scheme::Baseline, lt, bt);
-        b.mem_config(MemCtrlConfig {
-            rdq_capacity: 4,
-            wrq_capacity: 4,
-            drain_high: 4,
-            drain_low: 1,
-            spill_capacity: 4,
-            ..MemCtrlConfig::default()
-        });
-        for c in 0..2u64 {
+        let cfg = SimConfig::builder()
+            .mem_ctrl(MemCtrlConfig {
+                rdq_capacity: 4,
+                wrq_capacity: 4,
+                drain_high: 4,
+                drain_low: 1,
+                spill_capacity: 4,
+                ..MemCtrlConfig::default()
+            })
+            .build();
+        let cores = (0..2u64).map(|c| {
             let events = (0..40u64)
                 .map(|i| MemEvent {
                     // Zero compute gap: the core re-offers its write the
@@ -1122,9 +965,9 @@ mod tests {
                     },
                 })
                 .collect();
-            b.core(Box::new(VecTrace::new("writes", events)), 4);
-        }
-        let r = b.run();
+            (VecTrace::new("writes", events), 4)
+        });
+        let r = run_cores(cfg, &tables(), cores.collect());
         assert_eq!(r.mem.data_writes, 80, "every write must be serviced");
         assert!(r.mem.drain_switches > 0, "scenario must exercise the drain");
         assert!(r.events.ctrl_mode_switch > 0);
@@ -1136,12 +979,8 @@ mod tests {
 
     #[test]
     fn ladder_beats_baseline_on_write_service() {
-        let (lt, bt) = tables();
-        let run = |scheme| {
-            let mut b = SystemBuilder::new(scheme, lt.clone(), bt.clone());
-            b.core(Box::new(simple_trace(600, 40_000)), 8);
-            b.run()
-        };
+        let tables = tables();
+        let run = |s| run_cores(scheme(s), &tables, vec![(simple_trace(600, 40_000), 8)]);
         let base = run(Scheme::Baseline);
         let ladder = run(Scheme::LadderHybrid);
         assert!(
@@ -1155,12 +994,10 @@ mod tests {
 
     #[test]
     fn four_core_run_isolates_windows() {
-        let (lt, bt) = tables();
-        let mut b = SystemBuilder::new(Scheme::LadderEst, lt, bt);
-        for c in 0..4u64 {
-            b.core(Box::new(simple_trace(200, 40_000 + c * 5_000)), 8);
-        }
-        let r = b.run();
+        let cores = (0..4u64)
+            .map(|c| (simple_trace(200, 40_000 + c * 5_000), 8))
+            .collect();
+        let r = run_cores(scheme(Scheme::LadderEst), &tables(), cores);
         assert_eq!(r.cores.len(), 4);
         for c in &r.cores {
             assert!(c.retired > 0);
@@ -1170,16 +1007,12 @@ mod tests {
 
     #[test]
     fn service_mode_runs_without_cores_and_records_tenant_tails() {
-        use crate::experiments::ExperimentConfig;
-        use crate::service::{feed_for, ServiceConfig};
-
-        let (lt, bt) = tables();
+        let tables = tables();
         let scfg = ServiceConfig::builder().load(6.0).requests(2_000).build();
         let ecfg = ExperimentConfig::default();
-        let run = |scheme| {
-            let mut b = SystemBuilder::new(scheme, lt.clone(), bt.clone());
-            b.service(feed_for(&scfg, &ecfg, &Geometry::default(), None));
-            b.run()
+        let run = |s| {
+            let cfg = SimConfig::builder().scheme(s).service(scfg).build();
+            run_sim(&cfg, &ecfg, &tables)
         };
         let r = run(Scheme::Baseline);
         assert!(r.cores.is_empty());
@@ -1212,10 +1045,6 @@ mod tests {
 
     #[test]
     fn service_mode_is_open_loop_under_overload() {
-        use crate::experiments::ExperimentConfig;
-        use crate::service::{feed_for, ServiceConfig};
-
-        let (lt, bt) = tables();
         // Writes are slow; an all-write stream at absurd offered load must
         // queue kernel-side (deferred arrivals) yet still fully drain.
         let scfg = ServiceConfig::builder()
@@ -1223,10 +1052,8 @@ mod tests {
             .read_fraction(0.0)
             .requests(500)
             .build();
-        let ecfg = ExperimentConfig::default();
-        let mut b = SystemBuilder::new(Scheme::Baseline, lt, bt);
-        b.service(feed_for(&scfg, &ecfg, &Geometry::default(), None));
-        let r = b.run();
+        let cfg = SimConfig::builder().service(scfg).build();
+        let r = run_sim(&cfg, &ExperimentConfig::default(), &tables());
         let svc = r.service.expect("service mode");
         assert_eq!(svc.writes_accepted, 500);
         assert!(
@@ -1237,11 +1064,8 @@ mod tests {
 
     #[test]
     fn wear_tracking_collects_counts() {
-        let (lt, bt) = tables();
-        let mut b = SystemBuilder::new(Scheme::Baseline, lt, bt);
-        b.core(Box::new(simple_trace(90, 40_000)), 8);
-        b.track_wear(true);
-        let r = b.run();
+        let cfg = SimConfig::builder().track_wear(true).build();
+        let r = run_cores(cfg, &tables(), vec![(simple_trace(90, 40_000), 8)]);
         let wear = r.wear.expect("tracking enabled");
         assert_eq!(wear.with(|w| w.total_writes()), r.mem.data_writes);
     }

@@ -9,10 +9,9 @@
 //! Run with: `cargo run --release --example kv_store_flush`
 
 use ladder_cpu::{MemEvent, TraceOp, VecTrace};
-use ladder_memctrl::standard_tables;
 use ladder_reram::LineAddr;
-use ladder_sim::{Scheme, SystemBuilder};
-use ladder_xbar::TableConfig;
+use ladder_sim::experiments::ExperimentConfig;
+use ladder_sim::{run_traces, Scheme, SimConfig};
 
 /// Builds the flush-plus-lookups trace: bursts of 200 write-backs (the
 /// checkpoint) interleaved with dependent point lookups.
@@ -58,11 +57,12 @@ fn kv_trace(base_page: u64) -> VecTrace {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let tables = standard_tables(&TableConfig::ladder_default());
+    let ecfg = ExperimentConfig::default();
+    let tables = ecfg.tables();
     let base_page = 40_000;
     println!("KV-store checkpoint flush: 10 bursts x 200 write-backs + 600 lookups\n");
     println!(
-        "{:<16}{:>11}{:>10}{:>10}{:>15}{:>9}{:>12}",
+        "{:<16}{:>11}{:>10}{:>10}{:>15}{:>9}{:>14}",
         "scheme", "read (ns)", "P95 (ns)", "P99 (ns)", "write svc (ns)", "IPC", "runtime (us)"
     );
     for scheme in [
@@ -71,11 +71,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Scheme::Blp,
         Scheme::LadderHybrid,
     ] {
-        let mut b = SystemBuilder::with_tables(scheme, &tables);
-        b.core(Box::new(kv_trace(base_page)), 8);
-        let r = b.run();
+        let cfg = SimConfig::builder().scheme(scheme).build();
+        let r = run_traces(
+            &cfg,
+            &ecfg,
+            &tables,
+            vec![(Box::new(kv_trace(base_page)), 8)],
+        );
         println!(
-            "{:<16}{:>11.1}{:>10.1}{:>10.1}{:>15.1}{:>9.3}{:>12.1}",
+            "{:<16}{:>11.1}{:>10.1}{:>10.1}{:>15.1}{:>9.3}{:>14.1}",
             scheme.name(),
             r.avg_read_latency().as_ns(),
             r.read_histogram.percentile(0.95).as_ns(),

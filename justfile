@@ -62,15 +62,20 @@ shards:
 main-eval jobs="4":
     cargo run --release -p ladder-bench --bin main_eval -- --jobs {{jobs}}
 
-# Quick-mode smoke run of every figure/table binary (what verify.sh runs
-# after the test suite).
+# Quick-mode smoke run of every figure/table binary, then one run of
+# every example (what verify.sh runs after the test suite).
 smoke:
     cargo build --release -p ladder-bench --offline
+    cargo build --release --examples --offline
     for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
                ablations crash mna_table extension faults interleave service \
                lifetime_campaign hotloop; do \
         echo "-> $bin"; \
         ./target/release/$bin --quick --jobs 2 >/dev/null; \
+    done
+    for ex in quickstart latency_explorer scheme_shootout kv_store_flush; do \
+        echo "-> $ex"; \
+        ./target/release/examples/$ex >/dev/null; \
     done
 
 # Hot-loop smoke: the fast/reference equivalence battery plus the hotloop

@@ -73,6 +73,15 @@ for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
     ./target/release/"$bin" --quick --jobs 2 >/dev/null
 done
 
+# `cargo test` compiles the examples but never runs them; run each once
+# (~5 s in total) so an API change cannot leave one panicking.
+echo "==> smoke: examples"
+cargo build --release --examples --offline
+for ex in quickstart latency_explorer scheme_shootout kv_store_flush; do
+    echo "  -> $ex"
+    ./target/release/examples/"$ex" >/dev/null
+done
+
 # Hot-loop gate: the fast/reference equivalence battery (SWAR kernels,
 # quantized table lookup, calendar queue — including the differential
 # full quick run on both queue backends) must pass, and the hotloop

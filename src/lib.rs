@@ -22,14 +22,17 @@
 //!
 //! # Examples
 //!
-//! ```
-//! use ladder::sim::{Scheme, SystemBuilder};
-//! use ladder::cpu::{MemEvent, TraceOp, VecTrace};
-//! use ladder::memctrl::standard_tables;
-//! use ladder::reram::LineAddr;
-//! use ladder::xbar::TableConfig;
+//! A run is described by one [`sim::SimConfig`] value. Custom trace
+//! sources replay on the monolithic system through [`sim::run_traces`]:
 //!
-//! let tables = standard_tables(&TableConfig::ladder_default());
+//! ```
+//! use ladder::sim::experiments::ExperimentConfig;
+//! use ladder::sim::{run_traces, Scheme, SimConfig};
+//! use ladder::cpu::{MemEvent, TraceOp, VecTrace};
+//! use ladder::reram::LineAddr;
+//!
+//! let ecfg = ExperimentConfig::default();
+//! let tables = ecfg.tables();
 //! let trace = VecTrace::new(
 //!     "demo",
 //!     vec![MemEvent {
@@ -37,9 +40,8 @@
 //!         op: TraceOp::Write { addr: LineAddr::new(40_000 * 64), data: Box::new([1; 64]) },
 //!     }],
 //! );
-//! let mut b = SystemBuilder::with_tables(Scheme::LadderHybrid, &tables);
-//! b.core(Box::new(trace), 8);
-//! let result = b.run();
+//! let cfg = SimConfig::builder().scheme(Scheme::LadderHybrid).build();
+//! let result = run_traces(&cfg, &ecfg, &tables, vec![(Box::new(trace), 8)]);
 //! assert_eq!(result.mem.data_writes, 1);
 //! ```
 //!
@@ -57,8 +59,11 @@ pub use ladder_memctrl::Tables;
 /// Per-event-kind dispatch counters of the discrete-event kernel.
 pub use ladder_sim::EventCounts;
 /// The topology-aware run API: builder-constructed configs, the
-/// monolithic entry point, and the sharded multi-channel runner.
-pub use ladder_sim::{run_sharded, run_sim, Interleave, ShardedRun, SimConfig, Topology};
+/// monolithic entry point, the sharded multi-channel runner, and the
+/// custom-trace entry point.
+pub use ladder_sim::{
+    run_sharded, run_sim, run_traces, Interleave, ShardedRun, SimConfig, Topology,
+};
 /// The parallel experiment runner and its job/statistics types.
 pub use ladder_sim::{AloneIpcCache, Runner, RunnerStats};
 

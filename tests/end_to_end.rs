@@ -2,7 +2,7 @@
 //! checking the invariants the paper's evaluation relies on.
 
 use ladder::sim::experiments::{ExperimentConfig, Workload};
-use ladder::sim::{run_sim, RunResult, Scheme, SimConfig};
+use ladder::sim::{run_sim, Leveling, RunResult, Scheme, SimConfig};
 
 fn quick_cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -130,7 +130,7 @@ fn wear_leveling_keeps_most_of_the_performance() {
         &SimConfig::builder()
             .scheme(Scheme::LadderHybrid)
             .workload(w)
-            .wear_leveling(true)
+            .leveling(Leveling::Segment)
             .track_wear(true)
             .build(),
         &cfg,
