@@ -1,5 +1,6 @@
 //! Criterion benches for the crossbar-physics kernels: the analytic IR-drop
-//! estimator, full table generation, and the exact MNA solver.
+//! estimator, full table generation (one table, and the two-table bundle
+//! every simulation starts from), and the exact MNA solver.
 
 #![expect(
     clippy::expect_used,
@@ -7,6 +8,7 @@
 )]
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ladder_memctrl::standard_tables;
 use ladder_xbar::{
     analytic, solve_reset, CrossbarParams, PatternSpec, ResetOp, SolverKind, TableConfig,
     TimingTable,
@@ -33,6 +35,13 @@ fn bench_table_generation(c: &mut Criterion) {
     });
 }
 
+fn bench_standard_tables(c: &mut Criterion) {
+    let cfg = TableConfig::ladder_default();
+    c.bench_function("standard_tables_both_axes", |b| {
+        b.iter(|| standard_tables(black_box(&cfg)))
+    });
+}
+
 fn bench_mna(c: &mut Criterion) {
     let params = CrossbarParams::with_size(64, 64);
     let grid = PatternSpec::WorstCaseWl { wl_ones: 32 }.materialize(64, 64, 63, &[56, 63]);
@@ -50,5 +59,11 @@ fn bench_mna(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_analytic, bench_table_generation, bench_mna);
+criterion_group!(
+    benches,
+    bench_analytic,
+    bench_table_generation,
+    bench_standard_tables,
+    bench_mna
+);
 criterion_main!(benches);

@@ -530,18 +530,19 @@ impl Tables {
 ///
 /// # Panics
 ///
-/// Panics if table generation fails (the analytic source is infallible).
+/// Panics if table generation fails: an MNA source that does not converge,
+/// or a latency law whose entries overflow `u32` picoseconds.
 pub fn standard_tables(cfg: &TableConfig) -> Tables {
     #[expect(
         clippy::expect_used,
-        reason = "invariant: the analytic table source is infallible, documented under # Panics"
+        reason = "a table that cannot be built is a configuration bug, documented under # Panics"
     )]
     let ladder = TimingTable::generate(cfg).expect("wordline table");
     let mut blp_cfg = cfg.clone();
     blp_cfg.content_axis = ContentAxis::Bitline;
     #[expect(
         clippy::expect_used,
-        reason = "invariant: the analytic table source is infallible, documented under # Panics"
+        reason = "a table that cannot be built is a configuration bug, documented under # Panics"
     )]
     let blp = TimingTable::generate(&blp_cfg).expect("bitline table");
     Tables { ladder, blp }

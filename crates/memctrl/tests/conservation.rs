@@ -6,17 +6,11 @@ use ladder_baselines::SplitReset;
 use ladder_core::LadderVariant;
 use ladder_memctrl::{
     standard_tables, FixedWorstPolicy, LadderPolicy, MemCtrlConfig, MemoryController,
-    SplitResetPolicy, Tables, WritePolicy,
+    SplitResetPolicy, WritePolicy,
 };
 use ladder_reram::{AddressMap, Geometry, Instant, LineAddr};
 use ladder_xbar::TableConfig;
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-fn tables() -> &'static Tables {
-    static TABLES: OnceLock<Tables> = OnceLock::new();
-    TABLES.get_or_init(|| standard_tables(&TableConfig::ladder_default()))
-}
 
 #[derive(Debug, Clone)]
 enum Req {
@@ -34,19 +28,16 @@ fn arb_req() -> impl Strategy<Value = Req> {
 }
 
 fn policy_for(kind: u8) -> Box<dyn WritePolicy> {
-    let lt = &tables().ladder;
+    let cfg = TableConfig::ladder_default();
+    let lt = standard_tables(&cfg).ladder;
     let map = AddressMap::new(Geometry::default());
     match kind % 3 {
-        0 => Box::new(FixedWorstPolicy::new(lt)),
+        0 => Box::new(FixedWorstPolicy::new(&lt)),
         1 => Box::new(SplitResetPolicy::new(SplitReset::new(
-            &TableConfig::ladder_default().params,
+            &cfg.params,
             lt.law(),
         ))),
-        _ => Box::new(LadderPolicy::for_variant(
-            LadderVariant::Hybrid,
-            lt.clone(),
-            map,
-        )),
+        _ => Box::new(LadderPolicy::for_variant(LadderVariant::Hybrid, lt, map)),
     }
 }
 

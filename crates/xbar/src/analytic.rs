@@ -15,6 +15,20 @@
 //! the resulting latency is an upper bound on the true requirement, exactly
 //! the safety direction a write-timing table needs. The fully-selected
 //! current is resolved self-consistently by fixed-point iteration.
+//!
+//! # Cost
+//!
+//! One operating point with `k` distinct target columns costs
+//! `O(FIXED_POINT_ITERS · k²)`, independent of the mat size. The sneak terms
+//! depend only on the target column, never on the iteration, so they are
+//! evaluated once per column before the fixed point. Their line moments
+//! `Σ min(c, b)` over the far-end LRS run are closed-form arithmetic series
+//! from the run's lowest index, minus the targets inside the run.
+//!
+//! The closed form is bit-identical to summing the moments cell by cell:
+//! both are sums of integers below 2^53, which `f64` represents exactly at
+//! every partial sum, and the drop expression keeps the same association
+//! (`full + lrs + hrs`, each term multiplied by its current as before).
 
 use crate::params::CrossbarParams;
 
@@ -94,32 +108,34 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
 
     // Worst-case far-end placement of the wordline LRS population
     // (excluding the target columns themselves, which are fully selected).
-    let wl_lrs_cols: Vec<usize> = (0..cols)
-        .rev()
-        .filter(|c| !bls.contains(c))
-        .take(op.wl_ones.min(cols.saturating_sub(bls.len())))
-        .collect();
-    let wl_hrs_count = cols - bls.len() - wl_lrs_cols.len();
+    let wl_lrs_count = op.wl_ones.min(cols - bls.len());
+    let wl_lrs = FarRun::new(cols, wl_lrs_count, &bls);
+    let wl_hrs_count = cols - bls.len() - wl_lrs_count;
     // Far-end placement of the bitline LRS population (excluding target row).
-    let bl_lrs_rows: Vec<usize> = (0..rows)
-        .rev()
-        .filter(|&r| r != op.target_wl)
-        .take(op.bl_ones.min(rows - 1))
-        .collect();
-    let bl_hrs_count = rows - 1 - bl_lrs_rows.len();
+    let w = op.target_wl;
+    let bl_lrs_count = op.bl_ones.min(rows - 1);
+    let bl_lrs = FarRun::new(rows, bl_lrs_count, std::slice::from_ref(&w));
+    let bl_hrs_count = rows - 1 - bl_lrs_count;
 
-    // Aggregate wordline sneak: total current and per-target-position moment.
-    let wl_sneak_total = i_wl_lrs * wl_lrs_cols.len() as f64 + i_wl_hrs * wl_hrs_count as f64;
-    let wl_lrs_moment =
-        |b: usize| -> f64 { wl_lrs_cols.iter().map(|&c| c.min(b) as f64).sum::<f64>() };
+    // Aggregate wordline sneak: total current and, per target column, the
+    // LRS and HRS sneak currents times their line moments. They depend only
+    // on the column, so they are computed once, outside the fixed point.
+    let wl_sneak_total = i_wl_lrs * wl_lrs_count as f64 + i_wl_hrs * wl_hrs_count as f64;
     // HRS cells contribute uniformly; approximate their positions as spread
     // over the whole line (they are everywhere the LRS cells are not).
-    let wl_hrs_moment = |b: usize| -> f64 { wl_hrs_count as f64 * (b as f64) * 0.5 };
+    let wl_sneak_terms: Vec<(f64, f64)> = bls
+        .iter()
+        .map(|&b| {
+            (
+                i_wl_lrs * wl_lrs.moment(b) as f64,
+                wl_hrs_count as f64 * (b as f64) * 0.5 * i_wl_hrs,
+            )
+        })
+        .collect();
 
     // Bitline sneak per selected bitline.
-    let bl_sneak_total = i_half_lrs * bl_lrs_rows.len() as f64 + i_half_hrs * bl_hrs_count as f64;
-    let w = op.target_wl;
-    let bl_lrs_moment: f64 = bl_lrs_rows.iter().map(|&r| r.min(w) as f64).sum();
+    let bl_sneak_total = i_half_lrs * bl_lrs_count as f64 + i_half_hrs * bl_hrs_count as f64;
+    let bl_lrs_moment = bl_lrs.moment(w) as f64;
     let bl_hrs_moment: f64 = bl_hrs_count as f64 * (w as f64) * 0.5;
     let bl_drop_static = params.r_output * bl_sneak_total
         + r_w * (i_half_lrs * bl_lrs_moment + i_half_hrs * bl_hrs_moment);
@@ -130,7 +146,7 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
     let mut vd = vec![params.write_voltage; bls.len()];
     for _ in 0..FIXED_POINT_ITERS {
         let i_f_total: f64 = i_f.iter().sum();
-        for (k, &b) in bls.iter().enumerate() {
+        for (k, (&b, &(lrs_term, hrs_term))) in bls.iter().zip(&wl_sneak_terms).enumerate() {
             // Wordline drop at column b: driver drop plus wire drop from all
             // currents sharing segments 0..b with the target.
             let full_moment: f64 = bls
@@ -139,7 +155,7 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
                 .map(|(&bk, &ik)| ik * bk.min(b) as f64)
                 .sum();
             let drop_wl = params.r_input * (i_f_total + wl_sneak_total)
-                + r_w * (full_moment + i_wl_lrs * wl_lrs_moment(b) + wl_hrs_moment(b) * i_wl_hrs);
+                + r_w * (full_moment + lrs_term + hrs_term);
             // Bitline drop at row w for this bitline's own current.
             let drop_bl = params.r_output * i_f[k] + r_w * i_f[k] * w as f64 + bl_drop_static;
             let new_vd = (params.write_voltage - drop_wl - drop_bl).max(0.05);
@@ -148,6 +164,52 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
         }
     }
     bls.into_iter().zip(vd).collect()
+}
+
+/// A worst-case LRS population on one line: the `count` highest indices in
+/// `0..len` that are not excluded, i.e. `lo..len` minus the excluded
+/// indices that fall inside it.
+struct FarRun<'a> {
+    /// Lowest index of the run (`len` when the run is empty).
+    lo: usize,
+    len: usize,
+    /// The excluded indices inside `lo..len`.
+    inside: &'a [usize],
+}
+
+impl<'a> FarRun<'a> {
+    /// Places `count` cells at the far end of a `len`-cell line, skipping
+    /// `excluded` (ascending, deduplicated, all `< len`). Requires
+    /// `count + excluded.len() <= len`.
+    fn new(len: usize, count: usize, excluded: &'a [usize]) -> Self {
+        let mut lo = len - count;
+        let mut first_inside = excluded.len();
+        // Every excluded index inside the run pushes its start down by one.
+        while first_inside > 0 && excluded[first_inside - 1] >= lo {
+            first_inside -= 1;
+            lo -= 1;
+        }
+        Self {
+            lo,
+            len,
+            inside: &excluded[first_inside..],
+        }
+    }
+
+    /// `Σ min(i, b)` over the run's indices `i`, in closed form.
+    fn moment(&self, b: usize) -> u64 {
+        let inside: u64 = self.inside.iter().map(|&x| x.min(b) as u64).sum();
+        sum_min(self.lo, self.len, b) - inside
+    }
+}
+
+/// `Σ min(i, b)` for `i` in `lo..hi`: an arithmetic series up to `b`, then
+/// a constant `b` per index.
+fn sum_min(lo: usize, hi: usize, b: usize) -> u64 {
+    // Σ i for i in 0..n.
+    let below = |n: u64| n * n.saturating_sub(1) / 2;
+    let m = b.clamp(lo, hi) as u64;
+    below(m) - below(lo as u64) + (hi as u64 - m) * b as u64
 }
 
 #[cfg(test)]
@@ -169,6 +231,173 @@ mod tests {
             target_bls: bls,
             wl_ones,
             bl_ones,
+        }
+    }
+
+    /// The scan formulation [`estimate_vd`] replaced, kept as its oracle:
+    /// it materializes the far-end LRS populations and re-sums the
+    /// wordline moment over them in every fixed-point iteration.
+    fn estimate_vd_by_scan(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, f64)> {
+        let (rows, cols) = (params.rows, params.cols);
+        let mut bls = op.target_bls.clone();
+        bls.sort_unstable();
+        bls.dedup();
+
+        let kappa = params.selector_multiplier(params.bias_voltage);
+        let i_half_lrs = params.bias_voltage / (params.r_lrs * kappa);
+        let i_half_hrs = params.bias_voltage / (params.r_hrs * kappa);
+        let i_wl_lrs = i_half_lrs * params.wl_sneak_gain;
+        let i_wl_hrs = i_half_hrs * params.wl_sneak_gain;
+        let r_w = params.r_wire;
+
+        let wl_lrs_cols: Vec<usize> = (0..cols)
+            .rev()
+            .filter(|c| !bls.contains(c))
+            .take(op.wl_ones.min(cols.saturating_sub(bls.len())))
+            .collect();
+        let wl_hrs_count = cols - bls.len() - wl_lrs_cols.len();
+        let bl_lrs_rows: Vec<usize> = (0..rows)
+            .rev()
+            .filter(|&r| r != op.target_wl)
+            .take(op.bl_ones.min(rows - 1))
+            .collect();
+        let bl_hrs_count = rows - 1 - bl_lrs_rows.len();
+
+        let wl_sneak_total = i_wl_lrs * wl_lrs_cols.len() as f64 + i_wl_hrs * wl_hrs_count as f64;
+        let wl_lrs_moment =
+            |b: usize| -> f64 { wl_lrs_cols.iter().map(|&c| c.min(b) as f64).sum::<f64>() };
+        let wl_hrs_moment = |b: usize| -> f64 { wl_hrs_count as f64 * (b as f64) * 0.5 };
+
+        let bl_sneak_total =
+            i_half_lrs * bl_lrs_rows.len() as f64 + i_half_hrs * bl_hrs_count as f64;
+        let w = op.target_wl;
+        let bl_lrs_moment: f64 = bl_lrs_rows.iter().map(|&r| r.min(w) as f64).sum();
+        let bl_hrs_moment: f64 = bl_hrs_count as f64 * (w as f64) * 0.5;
+        let bl_drop_static = params.r_output * bl_sneak_total
+            + r_w * (i_half_lrs * bl_lrs_moment + i_half_hrs * bl_hrs_moment);
+
+        let mut i_f = vec![params.write_voltage / params.r_reset_transition; bls.len()];
+        let mut vd = vec![params.write_voltage; bls.len()];
+        for _ in 0..FIXED_POINT_ITERS {
+            let i_f_total: f64 = i_f.iter().sum();
+            for (k, &b) in bls.iter().enumerate() {
+                let full_moment: f64 = bls
+                    .iter()
+                    .zip(&i_f)
+                    .map(|(&bk, &ik)| ik * bk.min(b) as f64)
+                    .sum();
+                let drop_wl = params.r_input * (i_f_total + wl_sneak_total)
+                    + r_w
+                        * (full_moment + i_wl_lrs * wl_lrs_moment(b) + wl_hrs_moment(b) * i_wl_hrs);
+                let drop_bl = params.r_output * i_f[k] + r_w * i_f[k] * w as f64 + bl_drop_static;
+                let new_vd = (params.write_voltage - drop_wl - drop_bl).max(0.05);
+                vd[k] = new_vd;
+                i_f[k] = new_vd / params.r_reset_transition;
+            }
+        }
+        bls.into_iter().zip(vd).collect()
+    }
+
+    /// Asserts the closed form and the oracle agree bit for bit.
+    fn assert_matches_oracle(params: &CrossbarParams, op: &OperatingPoint) {
+        let fast = estimate_vd(params, op);
+        let scan = estimate_vd_by_scan(params, op);
+        assert_eq!(fast.len(), scan.len(), "{op:?}");
+        for (&(cf, vf), &(cs, vs)) in fast.iter().zip(&scan) {
+            assert_eq!(cf, cs, "{op:?}");
+            assert_eq!(
+                vf.to_bits(),
+                vs.to_bits(),
+                "column {cf}: closed form {vf:e} V vs scan {vs:e} V at {}x{} {op:?}",
+                params.rows,
+                params.cols
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_scan_on_random_points() {
+        // SplitMix64: a fixed, dependency-free sequence.
+        let mut state = 0x2021_u64;
+        let mut next = |bound: usize| -> usize {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for case in 0..2000 {
+            // Mostly small mats, every tenth case a large one.
+            let max_dim = if case % 10 == 0 { 512 } else { 64 };
+            let (rows, cols) = (1 + next(max_dim), 1 + next(max_dim));
+            let params = CrossbarParams::with_size(rows, cols);
+            let targets = 1 + next(cols.min(10));
+            let op = OperatingPoint {
+                target_wl: next(rows),
+                target_bls: (0..targets).map(|_| next(cols)).collect(),
+                wl_ones: next(cols + 1),
+                bl_ones: next(rows + 1),
+            };
+            assert_matches_oracle(&params, &op);
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_scan_on_edge_cases() {
+        for (rows, cols) in [(1, 1), (1, 9), (8, 8), (48, 48), (512, 512)] {
+            let params = CrossbarParams::with_size(rows, cols);
+            let k = cols.min(8);
+            let far: Vec<usize> = (cols - k..cols).collect();
+            let mut target_sets = vec![far.clone(), vec![0], vec![cols - 1]];
+            // Unsorted with duplicates, spread over the line.
+            target_sets.push(vec![cols / 2, cols - 1, 0, cols / 2, cols / 3]);
+            // Interleaved with the far-end run rather than at its edge.
+            target_sets.push(
+                (0..k)
+                    .map(|i| cols - 1 - 2 * i.min((cols - 1) / 2))
+                    .collect(),
+            );
+            for target_bls in target_sets {
+                let distinct = {
+                    let mut t = target_bls.clone();
+                    t.sort_unstable();
+                    t.dedup();
+                    t.len()
+                };
+                let wl_counts = [
+                    0,
+                    1,
+                    (cols - distinct).saturating_sub(1),
+                    cols - distinct,
+                    cols,
+                ];
+                let bl_counts = [0, 1, rows - 1, rows];
+                // Near end, inside the far-end LRS run, far end.
+                let wls = [0, rows - (rows / 4).max(1), rows - 1];
+                for &wl_ones in &wl_counts {
+                    for &bl_ones in &bl_counts {
+                        for &target_wl in &wls {
+                            let op = OperatingPoint {
+                                target_wl,
+                                target_bls: target_bls.clone(),
+                                wl_ones: wl_ones.min(cols),
+                                bl_ones,
+                            };
+                            assert_matches_oracle(&params, &op);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_min_matches_the_series() {
+        for (lo, hi) in [(0, 0), (0, 1), (3, 3), (0, 9), (4, 17)] {
+            for b in 0..20 {
+                let direct: u64 = (lo..hi).map(|i: usize| i.min(b) as u64).sum();
+                assert_eq!(sum_min(lo, hi, b), direct, "lo={lo} hi={hi} b={b}");
+            }
         }
     }
 

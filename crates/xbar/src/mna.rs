@@ -69,7 +69,8 @@ pub enum SolverKind {
     LineRelaxation,
 }
 
-/// Error raised when the MNA solve cannot be completed.
+/// Error raised when the MNA solve, or a timing table built from crossbar
+/// voltages, cannot be completed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MnaError {
     /// A target coordinate was outside the mat.
@@ -88,6 +89,12 @@ pub enum MnaError {
     },
     /// The dense factorization hit a singular pivot.
     Singular,
+    /// A timing-table latency does not fit the table's `u32` picosecond
+    /// entries (above about 4.29 ms).
+    LatencyOverflow {
+        /// The latency the law produced, in picoseconds.
+        ps: u64,
+    },
 }
 
 impl fmt::Display for MnaError {
@@ -101,6 +108,9 @@ impl fmt::Display for MnaError {
                 write!(f, "solver did not converge (residual {residual:.3e} V)")
             }
             MnaError::Singular => write!(f, "singular conductance matrix"),
+            MnaError::LatencyOverflow { ps } => {
+                write!(f, "latency {ps} ps overflows a u32 timing-table entry")
+            }
         }
     }
 }

@@ -145,8 +145,10 @@ impl TimingTable {
     ///
     /// # Errors
     ///
-    /// Propagates [`MnaError`] when the MNA source fails to converge; the
-    /// analytic source is infallible.
+    /// Propagates [`MnaError`] when the MNA source fails to converge, and
+    /// returns [`MnaError::LatencyOverflow`] when `cfg.law` maps an entry
+    /// above `u32::MAX` picoseconds (a truncated entry would be a *fast*
+    /// latency, the unsafe direction).
     ///
     /// # Panics
     ///
@@ -227,7 +229,8 @@ impl TimingTable {
         };
         let vds = vds?;
         for (slot, vd) in entries.iter_mut().zip(&vds) {
-            *slot = cfg.law.latency_ps(*vd) as u32;
+            let ps = cfg.law.latency_ps(*vd);
+            *slot = u32::try_from(ps).map_err(|_| MnaError::LatencyOverflow { ps })?;
         }
         Ok(Self::assemble(
             bands,
@@ -537,6 +540,22 @@ mod tests {
 
     fn default_table() -> TimingTable {
         TimingTable::generate(&TableConfig::ladder_default()).expect("generate")
+    }
+
+    #[test]
+    fn overflowing_law_is_rejected_not_truncated() {
+        // 10 ms at every voltage: 1e10 ps does not fit a u32 entry.
+        let cfg = TableConfig {
+            law: LatencyLaw {
+                c_ns: 1e7,
+                k_per_volt: 0.0,
+            },
+            ..TableConfig::ladder_default()
+        };
+        assert_eq!(
+            TimingTable::generate(&cfg),
+            Err(MnaError::LatencyOverflow { ps: 10_000_000_000 })
+        );
     }
 
     #[test]
