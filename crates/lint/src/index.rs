@@ -1,13 +1,13 @@
 //! Pass 1 of the two-pass analyzer: a lightweight workspace symbol index.
 //!
-//! The semantic rules ([`crate::semantic`]) need to see *across* files —
-//! does a reference kernel have a fast twin somewhere, is a `*Stats`
-//! struct folded anywhere — so this module walks every file's token
-//! stream once and records just enough structure for those questions:
-//! functions (with a normalized signature, module path and surrounding
-//! `impl`), structs with their typed fields, enums with their variants,
-//! `impl Trait for Type` headers, and the set of identifiers each file
-//! mentions. It is *not* a parser: it recognizes item heads by keyword
+//! The semantic rules (the crate-private `semantic` module) need to see
+//! *across* files — does a reference kernel have a fast twin somewhere,
+//! is a `*Stats` struct folded anywhere — so this module walks every
+//! file's token stream once and records just enough structure for those
+//! questions: functions (with a normalized signature, module path and
+//! surrounding `impl`), structs with their typed fields, enums with their
+//! variants, `impl Trait for Type` headers, and the set of identifiers
+//! each file mentions. It is *not* a parser: it recognizes item heads by keyword
 //! and matches braces, which is sound for the workspace's rustfmt'd,
 //! compiling code and keeps the analyzer dependency-free (no `syn`).
 //!

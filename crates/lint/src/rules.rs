@@ -12,8 +12,8 @@
 //!
 //! Analysis runs in two passes over a corpus of [`SourceUnit`]s
 //! ([`analyze_units`]): pass 1 runs the per-file rules and builds the
-//! [`SymbolIndex`](crate::index::SymbolIndex); pass 2 runs the
-//! cross-crate semantic rules ([`crate::semantic`]) against the index.
+//! [`SymbolIndex`]; pass 2 runs the cross-crate semantic rules (the
+//! crate-private `semantic` module) against the index.
 
 use crate::index::SymbolIndex;
 use crate::lexer::{lex, Token};

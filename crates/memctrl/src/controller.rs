@@ -14,7 +14,7 @@
 use crate::policy::WritePolicy;
 use ladder_core::{ReadKind, SpillBuffer};
 use ladder_reram::{
-    AddressMap, DeviceTiming, EventQueue, Instant, LineAddr, LineData, LineStore, Picos, WlgId,
+    AddressMap, DeviceTiming, Instant, LineAddr, LineData, LineStore, Picos, WlgId,
 };
 use ladder_trace::{
     LatencyHistogram, Mergeable, PulseKind, ReadClass, TraceRecord, TraceRecorder, C_LRS_UNTRACKED,
@@ -259,11 +259,11 @@ enum Mode {
 
 /// Why the controller registered a wake-up.
 ///
-/// Every state change that could make new progress possible schedules one
-/// of these on the controller's internal wake queue at the precise instant
-/// the opportunity opens. An external event pump absorbs them through
-/// [`MemoryController::take_wakes`]; standalone drivers step time with
-/// [`MemoryController::next_wake`].
+/// Every state change that could make new progress possible appends one
+/// of these, stamped with the precise instant the opportunity opens, to
+/// the controller's wake outbox. An external event pump moves them into
+/// its own queue through [`MemoryController::take_wakes`]; standalone
+/// drivers step time with [`MemoryController::next_wake`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtrlWake {
     /// New work entered a queue: a demand read or write, a dependency
@@ -403,10 +403,11 @@ impl Channel {
 /// Drive it with [`MemoryController::process`] at event times. The
 /// controller is schedule-based: every enqueue and issue registers the
 /// precise instant at which new progress becomes possible (a
-/// [`CtrlWake`]). Standalone drivers step time with
-/// [`MemoryController::next_wake`]; an event pump drains the registered
-/// wakes with [`MemoryController::take_wakes`] and dispatches them from
-/// its own queue. Completed demand reads are collected through
+/// [`CtrlWake`], appended to a plain outbox in registration order). The
+/// controller owns no event queue: standalone drivers step time with
+/// [`MemoryController::next_wake`]; an event pump moves the outbox into
+/// its own queue with [`MemoryController::take_wakes`] and dispatches
+/// from there. Completed demand reads are collected through
 /// [`MemoryController::take_completed_reads`].
 #[derive(Debug)]
 pub struct MemoryController {
@@ -424,7 +425,9 @@ pub struct MemoryController {
     read_histogram: LatencyHistogram,
     observer: Option<Box<dyn ObserverDebug>>,
     fault_injector: Option<Box<dyn InjectorDebug>>,
-    wakes: EventQueue<CtrlWake>,
+    /// Wakes registered since the pump last took them, in registration
+    /// order (not sorted by time).
+    wakes: Vec<(Instant, CtrlWake)>,
     recorder: TraceRecorder,
 }
 
@@ -479,7 +482,7 @@ impl MemoryController {
             read_histogram: LatencyHistogram::new(),
             observer: None,
             fault_injector: None,
-            wakes: EventQueue::new(),
+            wakes: Vec::new(),
             recorder: TraceRecorder::disabled(),
         }
     }
@@ -591,7 +594,7 @@ impl MemoryController {
             enqueued_at: now,
             for_write: None,
         });
-        self.wakes.schedule(now, CtrlWake::WorkArrived);
+        self.wakes.push((now, CtrlWake::WorkArrived));
         Some(id)
     }
 
@@ -632,7 +635,7 @@ impl MemoryController {
         let idx = c.wrq.len();
         c.wrq.push(entry);
         self.stats.wrq_peak = self.stats.wrq_peak.max(self.channels[ch].wrq.len());
-        self.wakes.schedule(now, CtrlWake::WorkArrived);
+        self.wakes.push((now, CtrlWake::WorkArrived));
         let mut e = self.channels[ch].wrq[idx].clone();
         self.prepare_entry(&mut e, now);
         self.channels[ch].wrq[idx] = e;
@@ -751,7 +754,7 @@ impl MemoryController {
         } else {
             c.write_overflow.push_back(entry);
         }
-        self.wakes.schedule(now, CtrlWake::WorkArrived);
+        self.wakes.push((now, CtrlWake::WorkArrived));
     }
 
     /// Demand-read completions since the last call: `(id, completion)`.
@@ -771,15 +774,25 @@ impl MemoryController {
         if !self.channels.iter().any(Channel::has_work) {
             return None;
         }
-        self.wakes.next_after(now)
+        self.wakes.retain(|&(at, _)| at > now);
+        self.wakes.iter().map(|&(at, _)| at).min()
     }
 
-    /// Drains every registered wake, in firing order, for an external
-    /// event pump to absorb into its own queue. Unlike
-    /// [`MemoryController::next_wake`] this does not filter stale or
-    /// duplicate entries — the pump coalesces same-instant dispatches.
-    pub fn take_wakes(&mut self) -> Vec<(Instant, CtrlWake)> {
-        self.wakes.drain()
+    /// Moves every registered wake out of the outbox, in registration
+    /// order, for an external event pump to schedule on its own queue.
+    /// Unlike [`MemoryController::next_wake`] this does not filter stale
+    /// or duplicate entries — the pump coalesces same-instant dispatches.
+    ///
+    /// Registration order is as good as firing order for a pump that
+    /// schedules the wakes one by one on a time-ordered queue with FIFO
+    /// tie-breaking. The pump numbers the wakes in the order it takes
+    /// them, after everything it already holds. Wakes at different
+    /// instants pop in time order whatever their numbers. Wakes at one
+    /// instant keep their registration order, which is the order a
+    /// time-sorted drain of a FIFO queue would also have given them. So
+    /// the pump's pop order is the same either way.
+    pub fn take_wakes(&mut self) -> std::vec::Drain<'_, (Instant, CtrlWake)> {
+        self.wakes.drain(..)
     }
 
     /// Whether every queue is empty.
@@ -865,7 +878,7 @@ impl MemoryController {
                 if len >= self.cfg.drain_high {
                     self.channels[ch].mode = Mode::WriteDrain;
                     self.stats.drain_switches += 1;
-                    self.wakes.schedule(now, CtrlWake::ModeSwitch);
+                    self.wakes.push((now, CtrlWake::ModeSwitch));
                 }
             }
             Mode::WriteDrain => {
@@ -874,7 +887,7 @@ impl MemoryController {
                 let any_viable = self.channels[ch].wrq.iter().any(|w| w.prepared);
                 if len <= self.cfg.drain_low || !any_viable {
                     self.channels[ch].mode = Mode::Read;
-                    self.wakes.schedule(now, CtrlWake::ModeSwitch);
+                    self.wakes.push((now, CtrlWake::ModeSwitch));
                     self.retry_spilled(now);
                 }
             }
@@ -897,7 +910,7 @@ impl MemoryController {
         if !targets.is_empty() {
             // Re-prepared writes (and any dependency reads they wire in)
             // become actionable at `now`.
-            self.wakes.schedule(now, CtrlWake::WorkArrived);
+            self.wakes.push((now, CtrlWake::WorkArrived));
         }
         for (ci, wi, id) in targets {
             // Re-locate defensively in case indices shifted (they cannot —
@@ -934,7 +947,7 @@ impl MemoryController {
             .reserve(nominal_burst, timing.t_burst, now);
         let completion = burst_start + timing.t_burst;
         self.banks[bank] = completion;
-        self.wakes.schedule(completion, CtrlWake::BankFree);
+        self.wakes.push((completion, CtrlWake::BankFree));
         if self.recorder.is_enabled() {
             let class = match entry.kind {
                 RKind::Demand => ReadClass::Demand,
@@ -964,7 +977,7 @@ impl MemoryController {
                         dep.ready_at = dep.ready_at.max(completion);
                         if dep.outstanding == 0 {
                             let at = dep.ready_at;
-                            self.wakes.schedule(at, CtrlWake::DepReady);
+                            self.wakes.push((at, CtrlWake::DepReady));
                         }
                     }
                 }
@@ -1031,7 +1044,7 @@ impl MemoryController {
                     // The verify read precedes the retry pulse.
                     let pulse = timing.write_latency(inj.retry_t_wr_at(entry.addr, t_wr, attempt));
                     let pulse_start = now + lat + retry_time + timing.read_latency();
-                    self.wakes.schedule(pulse_start, CtrlWake::RetryPulse);
+                    self.wakes.push((pulse_start, CtrlWake::RetryPulse));
                     self.recorder.record(
                         pulse_start,
                         TraceRecord::VerifyRetry {
@@ -1086,10 +1099,10 @@ impl MemoryController {
             .reserve(nominal_burst, timing.t_burst, now);
         let completion = burst_start + timing.t_burst;
         self.banks[bank] = completion;
-        self.wakes.schedule(completion, CtrlWake::BankFree);
+        self.wakes.push((completion, CtrlWake::BankFree));
         // The write-queue slot frees the moment the write dispatches, so
         // writers rejected on a full queue can retry at `now`.
-        self.wakes.schedule(now, CtrlWake::QueueSlotFree);
+        self.wakes.push((now, CtrlWake::QueueSlotFree));
         if self.recorder.is_enabled() {
             let (wl, bl) = self.map.write_location(entry.addr);
             let (kind, t_worst, t_loc) = match entry.kind {
@@ -1313,6 +1326,91 @@ mod tests {
         let ladder_table = standard_tables(&TableConfig::ladder_default()).ladder;
         let policy = LadderPolicy::for_variant(variant, ladder_table, map.clone());
         MemoryController::new(MemCtrlConfig::default(), map, Box::new(policy))
+    }
+
+    /// A baseline controller that has processed, at t = 0, writes to
+    /// pages 0 and 2 and a read of page 4 (three banks of channel 0), and
+    /// two reads of page 1 on channel 1, the second of which stays queued
+    /// behind the first's bank.
+    fn outbox_mc() -> MemoryController {
+        let mut mc = baseline_mc();
+        let t0 = Instant::ZERO;
+        assert!(mc.enqueue_write(LineAddr::new(0), [0xFF; 64], t0));
+        assert!(mc.enqueue_write(LineAddr::new(2 * 64), [0xFF; 64], t0));
+        for line in [4 * 64, 64, 65] {
+            mc.enqueue_read(LineAddr::new(line), t0).expect("queued");
+        }
+        mc.process(t0);
+        mc
+    }
+
+    #[test]
+    fn take_wakes_yields_registration_order_and_empties_the_outbox() {
+        use CtrlWake::{BankFree, QueueSlotFree, WorkArrived};
+        let mut mc = outbox_mc();
+        let wakes: Vec<(Instant, CtrlWake)> = mc.take_wakes().collect();
+        assert!(mc.take_wakes().next().is_none(), "outbox left non-empty");
+        // Five enqueues. Then on channel 0 the read issues ahead of the
+        // two writes, and each write frees its queue slot at issue and its
+        // bank later; on channel 1 only the first read issues.
+        let kinds: Vec<CtrlWake> = wakes.iter().map(|&(_, k)| k).collect();
+        assert_eq!(
+            kinds,
+            [
+                WorkArrived,
+                WorkArrived,
+                WorkArrived,
+                WorkArrived,
+                WorkArrived,
+                BankFree,
+                BankFree,
+                QueueSlotFree,
+                BankFree,
+                QueueSlotFree,
+                BankFree
+            ]
+        );
+        let t0 = Instant::ZERO;
+        let read_latency = DeviceTiming::default().read_latency();
+        assert_eq!(wakes[5].0.duration_since(t0), read_latency);
+        assert_eq!(wakes[10].0.duration_since(t0), read_latency);
+        assert!(wakes[6].0 > wakes[5].0);
+        assert_eq!(wakes[7].0, t0);
+        // Registration order, not firing order: a write's queue-slot wake
+        // at t0 follows its bank wake.
+        assert!(!wakes.is_sorted_by_key(|&(at, _)| at));
+    }
+
+    #[test]
+    fn next_wake_skips_past_wakes_and_returns_the_earliest_later_one() {
+        let mut bank_frees: Vec<Instant> = outbox_mc()
+            .take_wakes()
+            .filter(|&(_, k)| k == CtrlWake::BankFree)
+            .map(|(at, _)| at)
+            .collect();
+        bank_frees.sort_unstable();
+        bank_frees.dedup();
+        // Both issued reads finish together, ahead of the two writes.
+        let [reads_done, first_write, last_write] = bank_frees[..] else {
+            panic!("expected three bank-free instants, got {bank_frees:?}");
+        };
+        let mut mc = outbox_mc();
+        assert_eq!(mc.next_wake(Instant::ZERO), Some(reads_done));
+        assert_eq!(mc.next_wake(reads_done), Some(first_write));
+        assert_eq!(mc.next_wake(first_write), Some(last_write));
+        // Still busy (a read is queued), but no wake is left after the
+        // last one.
+        assert!(!mc.is_idle());
+        assert_eq!(mc.next_wake(last_write), None);
+    }
+
+    #[test]
+    fn next_wake_is_none_once_finish_drained_the_controller() {
+        let mut mc = outbox_mc();
+        let end = mc.finish(Instant::ZERO);
+        assert!(mc.is_idle());
+        assert_eq!(mc.next_wake(Instant::ZERO), None);
+        assert_eq!(mc.next_wake(end), None);
     }
 
     #[test]

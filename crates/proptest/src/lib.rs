@@ -303,7 +303,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -9,10 +9,11 @@
 //! unaligned tails (metadata fragments, sub-line regions) get the same
 //! answers.
 //!
-//! Every kernel has a byte-wise twin in [`reference`] with the obvious
-//! one-byte-at-a-time implementation. The fast path is only trusted because
-//! property tests (`tests/hotloop_equivalence.rs`) prove the two agree on
-//! arbitrary inputs; see `DESIGN.md` §15 for the discipline.
+//! Every kernel has a byte-wise twin in [`reference`](mod@reference) with
+//! the obvious one-byte-at-a-time implementation. The fast path is only
+//! trusted because property tests (`tests/hotloop_equivalence.rs`) prove
+//! the two agree on arbitrary inputs; see `DESIGN.md` §15 for the
+//! discipline.
 
 /// The least-significant bit of every byte lane of a u64.
 const LANE_LSB: u64 = 0x0101_0101_0101_0101;

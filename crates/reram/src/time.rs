@@ -219,7 +219,6 @@ pub enum QueueBackend {
 pub struct EventQueue<K> {
     inner: Inner<K>,
     seq: u64,
-    scheduled_total: u64,
 }
 
 #[derive(Debug)]
@@ -276,11 +275,7 @@ impl<K> EventQueue<K> {
             QueueBackend::Heap => Inner::Heap(BinaryHeap::new()),
             QueueBackend::Calendar => Inner::Calendar(Calendar::new()),
         };
-        Self {
-            inner,
-            seq: 0,
-            scheduled_total: 0,
-        }
+        Self { inner, seq: 0 }
     }
 
     /// The backend this queue was constructed with.
@@ -303,7 +298,6 @@ impl<K> EventQueue<K> {
             Inner::Calendar(c) => c.push(s),
         }
         self.seq += 1;
-        self.scheduled_total += 1;
     }
 
     /// Removes and returns the earliest event (FIFO among ties).
@@ -323,20 +317,6 @@ impl<K> EventQueue<K> {
         }
     }
 
-    /// Discards every event scheduled at or before `now` and returns the
-    /// instant of the earliest remaining one. Standalone controller
-    /// drivers use this to step time ("when could anything next happen?")
-    /// without dispatching individual events.
-    pub fn next_after(&mut self, now: Instant) -> Option<Instant> {
-        while let Some(t) = self.peek_time() {
-            if t > now {
-                return Some(t);
-            }
-            self.pop();
-        }
-        None
-    }
-
     /// Number of events currently scheduled.
     pub fn len(&self) -> usize {
         match &self.inner {
@@ -348,20 +328,6 @@ impl<K> EventQueue<K> {
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Removes every scheduled event, returning them in firing order.
-    pub fn drain(&mut self) -> Vec<(Instant, K)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
     }
 }
 
@@ -559,7 +525,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Instant::from_ps(200), 'b')));
         assert_eq!(q.pop(), Some((Instant::from_ps(300), 'c')));
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 3);
     }
 
     #[test]
@@ -573,13 +538,16 @@ mod tests {
             q.schedule(t, i);
             q.schedule(Instant::from_ps(40), 1000 + i);
         }
-        let drained = q.drain();
-        let at_40: Vec<u32> = drained
+        let mut popped = Vec::new();
+        while let Some(e) = q.pop() {
+            popped.push(e);
+        }
+        let at_40: Vec<u32> = popped
             .iter()
             .filter(|(at, _)| *at == Instant::from_ps(40))
             .map(|&(_, k)| k)
             .collect();
-        let at_50: Vec<u32> = drained
+        let at_50: Vec<u32> = popped
             .iter()
             .filter(|(at, _)| *at == t)
             .map(|&(_, k)| k)
@@ -587,23 +555,8 @@ mod tests {
         assert_eq!(at_40, (1000..1016).collect::<Vec<_>>());
         assert_eq!(at_50, (0..16).collect::<Vec<_>>());
         // All t=40 events come before any t=50 event.
-        assert!(drained[..16]
+        assert!(popped[..16]
             .iter()
             .all(|(at, _)| *at == Instant::from_ps(40)));
-    }
-
-    #[test]
-    fn event_queue_next_after_skips_stale() {
-        let mut q = EventQueue::new();
-        q.schedule(Instant::from_ps(10), ());
-        q.schedule(Instant::from_ps(20), ());
-        q.schedule(Instant::from_ps(30), ());
-        assert_eq!(
-            q.next_after(Instant::from_ps(20)),
-            Some(Instant::from_ps(30))
-        );
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.next_after(Instant::from_ps(30)), None);
-        assert!(q.is_empty());
     }
 }

@@ -6,9 +6,10 @@
 //! no fallback "nudge". Every component registers the precise instants at
 //! which it can next make progress: cores post the end of their compute
 //! phases, the controller registers bank frees, queue-slot frees, mode
-//! switches and dependency completions ([`CtrlWake`]), and demand-read
+//! switches and dependency completions ([`CtrlWake`]) in a plain outbox
+//! the kernel moves onto its queue after every dispatch, and demand-read
 //! data bursts are delivered to their cores at their exact completion
-//! times.
+//! times. The controller keeps no queue of its own.
 
 use crate::config::{make_leveler, Leveling, SimConfig};
 use crate::experiments::ExperimentConfig;
@@ -21,7 +22,7 @@ use ladder_faults::{CellFaultModel, FaultStats, SharedCellFaultModel};
 use ladder_memctrl::{
     CtrlWake, CwTrace, LatencyHistogram, MemStats, MemoryController, ReqId, Tables,
 };
-use ladder_reram::{AddressMap, EventQueue, Geometry, Instant, LineAddr, Picos};
+use ladder_reram::{AddressMap, EventQueue, Geometry, Instant, LineAddr, LineData, Picos};
 use ladder_trace::{DispatchKind, Mergeable, Trace, TraceRecord, TraceRecorder};
 use ladder_wear::{
     RemapBackend, RemapKind, RotateHwl, SharedPadRemapper, SharedRetirePool, SharedWearMap,
@@ -714,25 +715,10 @@ impl EventKernel {
                     }
                 }
                 TraceOp::Write { addr, data } => {
-                    // Mirror the core write path exactly: rotate, note
-                    // wear, remap, then offer — and on rejection requeue
-                    // the original op so the retry recomputes everything,
-                    // like a re-driven core does.
-                    let stored = match &mut self.hwl {
-                        Some(h) => h.rotate_for_write(addr, &data),
-                        None => *data,
-                    };
-                    let mut migrations = match &mut self.leveler {
-                        Some(l) => l.note_write(addr),
-                        None => Vec::new(),
-                    };
-                    if let Some(backend) = &mut self.remap {
-                        migrations.extend(backend.note_write(addr));
-                    }
-                    let phys = self.map_addr(addr);
-                    if self.mc.enqueue_write(phys, stored, now) {
-                        self.ctrl_dirty = true;
-                        self.pending_migrations.extend(migrations);
+                    // Same offer as a core write; on rejection requeue the
+                    // original op so the retry recomputes everything, like
+                    // a re-driven core does.
+                    if self.offer_write(addr, &data, now) {
                         if let Some(svc) = &mut self.service {
                             svc.stats.writes_accepted += 1;
                             let name = &svc.gen.mix().tenants()[tenant].name;
@@ -751,6 +737,32 @@ impl EventKernel {
                 }
             }
         }
+    }
+
+    /// Offers one logical write to the controller: rotate it for the
+    /// intra-line leveler, note the wear (which may queue migrations),
+    /// remap the address, then enqueue. Returns whether the controller
+    /// accepted it; on rejection the migrations noted for this attempt
+    /// are dropped and the caller retries the whole offer later.
+    fn offer_write(&mut self, addr: LineAddr, data: &LineData, now: Instant) -> bool {
+        let stored = match &mut self.hwl {
+            Some(h) => h.rotate_for_write(addr, data),
+            None => *data,
+        };
+        let mut migrations = match &mut self.leveler {
+            Some(l) => l.note_write(addr),
+            None => Vec::new(),
+        };
+        if let Some(backend) = &mut self.remap {
+            migrations.extend(backend.note_write(addr));
+        }
+        let phys = self.map_addr(addr);
+        if !self.mc.enqueue_write(phys, stored, now) {
+            return false;
+        }
+        self.ctrl_dirty = true;
+        self.pending_migrations.extend(migrations);
+        true
     }
 
     /// Runs the controller at `now`, then retries everything a freed queue
@@ -839,22 +851,8 @@ impl EventKernel {
                     }
                 }
                 CoreAction::IssueWrite { addr, data } => {
-                    let stored = match &mut self.hwl {
-                        Some(h) => h.rotate_for_write(addr, &data),
-                        None => *data,
-                    };
-                    let mut migrations = match &mut self.leveler {
-                        Some(l) => l.note_write(addr),
-                        None => Vec::new(),
-                    };
-                    if let Some(backend) = &mut self.remap {
-                        migrations.extend(backend.note_write(addr));
-                    }
-                    let phys = self.map_addr(addr);
-                    if self.mc.enqueue_write(phys, stored, now) {
-                        self.ctrl_dirty = true;
+                    if self.offer_write(addr, &data, now) {
                         cores[i].on_write_accepted(now);
-                        self.pending_migrations.extend(migrations);
                     } else {
                         cores[i].on_write_rejected(now);
                         self.waiting[i] = true;

@@ -8,8 +8,8 @@
 //!
 //! 1. [`solve_reset`] — exact modified nodal analysis of the crossbar's
 //!    resistive network (wire segments, drivers, cells with non-linear
-//!    selectors), with three interchangeable linear solvers for
-//!    cross-validation.
+//!    selectors), by line relaxation, cross-validated in tests against a
+//!    dense LU reference.
 //! 2. [`analytic`] — a fast, conservative first-order IR-drop estimator
 //!    used for bulk table generation.
 //! 3. [`TimingTable`] — the quantized 8×8×8 lookup structure the memory
@@ -42,7 +42,7 @@ pub use latency::LatencyLaw;
 pub use mna::{kirchhoff_residual, solve_reset, MnaError, ResetOp, Solution, SolverKind};
 pub use params::CrossbarParams;
 pub use pattern::{BitGrid, PatternSpec};
-pub use solve::{csr, dense, tridiag};
+pub use solve::{dense, tridiag};
 pub use table::{
     calibrate_device_law, latency_vs_wl_content, worst_latency_for_selected, ContentAxis,
     TableConfig, TableSource, TimingTable,

@@ -13,6 +13,11 @@ test:
 clippy:
     cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# API docs with warnings denied (dangling, private or ambiguous links
+# fail), as verify.sh runs them.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Project-invariant static analysis. The generic rules (hash-iter,
 # wall-clock, ambient-rng, panic-policy) are clippy lints, checked
 # against their fixture corpus; ladder-lint runs the domain rules

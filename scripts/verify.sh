@@ -14,6 +14,11 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
+# Rustdoc with warnings denied: a doc link to an item that was deleted,
+# made private or became ambiguous fails here instead of rotting.
+echo "==> cargo doc -- -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Clippy also enforces the determinism and panic-policy invariants
 # (clippy.toml + [workspace.lints]); every suppression is an
 # `#[expect(lint, reason = "...")]`, and a stale one fails here as
