@@ -1,7 +1,8 @@
-//! Criterion bench gating the tracing subsystem's disabled-path cost
-//! contract: with tracing off (the default), the controller's write hot
-//! path must not allocate at all in steady state, and a disabled
-//! [`TraceRecorder`] must never allocate. Run by `cargo test --benches`
+//! Criterion bench gating the simulator's per-event allocation contract:
+//! with tracing off (the default), the controller's write and read hot
+//! paths must not allocate at all in steady state, a disabled
+//! [`TraceRecorder`] must never allocate, and recording into a registered
+//! tenant's latency group must not allocate. Run by `cargo test --benches`
 //! (one checked iteration) and by `cargo bench` (measured).
 
 #![expect(
@@ -17,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ladder_memctrl::{standard_tables, FixedWorstPolicy, MemCtrlConfig, MemoryController};
 use ladder_reram::{AddressMap, Geometry, Instant, LineAddr, Picos};
-use ladder_trace::{DispatchKind, TraceRecord, TraceRecorder};
+use ladder_trace::{DispatchKind, TenantLatencies, TraceRecord, TraceRecorder};
 use ladder_xbar::{TableConfig, TimingTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -122,6 +123,65 @@ fn bench_write_hotpath_disabled(c: &mut Criterion) {
     });
 }
 
+/// Drives `reads` demand reads through a controller, stepping time
+/// whenever the read queue is full and draining the completions after
+/// every `process`, and returns the last instant.
+fn drive_reads(mc: &mut MemoryController, mut now: Instant, reads: u64) -> Instant {
+    for i in 0..reads {
+        let addr = LineAddr::new((i * 17 % 8192) * 64);
+        while mc.enqueue_read(addr, now).is_none() {
+            now = mc.next_wake(now).expect("progress");
+            mc.process(now);
+            black_box(mc.take_completed_reads().count());
+        }
+        mc.process(now);
+        black_box(mc.take_completed_reads().count());
+    }
+    now
+}
+
+/// With tracing disabled, the steady-state read hot path — enqueue,
+/// issue, completion, and the kernel's drain of the completed reads —
+/// must be allocation-free: the completion buffer is drained in place and
+/// keeps its warmed capacity.
+fn bench_read_hotpath_disabled(c: &mut Criterion) {
+    let table = standard_tables(&TableConfig::ladder_default()).ladder;
+    c.bench_function("controller_read_hotpath_tracing_disabled", |b| {
+        b.iter(|| {
+            let mut mc = fresh_controller(&table);
+            let now = drive_reads(&mut mc, Instant::ZERO, 2_000);
+            let before = allocations();
+            let now = drive_reads(&mut mc, now, 2_000);
+            let after = allocations();
+            assert_eq!(
+                after - before,
+                0,
+                "read hot path allocated with tracing disabled"
+            );
+            black_box(mc.finish(now))
+        })
+    });
+}
+
+/// Recording a completed read or an accepted write for a tenant
+/// registered with `ensure` looks the name up without allocating a key.
+fn bench_tenant_record(c: &mut Criterion) {
+    c.bench_function("tenant_latencies_record_100", |b| {
+        b.iter(|| {
+            let mut groups = TenantLatencies::default();
+            groups.ensure("t1", 500_000, 2);
+            let before = allocations();
+            for i in 0..100u64 {
+                groups.record_read(black_box("t1"), Picos::from_ps(40_000 + i));
+                groups.note_write(black_box("t1"));
+            }
+            let after = allocations();
+            assert_eq!(after - before, 0, "tenant latency recording allocated");
+            black_box(groups.total_reads() + groups.total_writes())
+        })
+    });
+}
+
 /// The same hot path with an enabled recorder, for comparison in bench
 /// output. Not allocation-gated: the ring buffer grows to its bounded
 /// capacity on first use, which is the documented enabled-mode cost.
@@ -145,6 +205,8 @@ criterion_group!(
     benches,
     bench_disabled_recorder,
     bench_write_hotpath_disabled,
+    bench_read_hotpath_disabled,
+    bench_tenant_record,
     bench_write_hotpath_traced
 );
 criterion_main!(benches);

@@ -407,7 +407,7 @@ impl Channel {
 /// controller owns no event queue: standalone drivers step time with
 /// [`MemoryController::next_wake`]; an event pump moves the outbox into
 /// its own queue with [`MemoryController::take_wakes`] and dispatches
-/// from there. Completed demand reads are collected through
+/// from there. Completed demand reads are drained through
 /// [`MemoryController::take_completed_reads`].
 #[derive(Debug)]
 pub struct MemoryController {
@@ -757,9 +757,13 @@ impl MemoryController {
         self.wakes.push((now, CtrlWake::WorkArrived));
     }
 
-    /// Demand-read completions since the last call: `(id, completion)`.
-    pub fn take_completed_reads(&mut self) -> Vec<(ReqId, Instant)> {
-        std::mem::take(&mut self.completed_reads)
+    /// Drains the demand-read completions since the last call:
+    /// `(id, completion)`, in completion-registration order. The buffer
+    /// keeps its capacity, so steady-state draining never allocates; the
+    /// completions are removed when the returned iterator is dropped,
+    /// consumed or not.
+    pub fn take_completed_reads(&mut self) -> std::vec::Drain<'_, (ReqId, Instant)> {
+        self.completed_reads.drain(..)
     }
 
     /// Earliest registered wake strictly after `now`, or `None` when every
@@ -1419,7 +1423,7 @@ mod tests {
         let t0 = Instant::ZERO;
         let id = mc.enqueue_read(LineAddr::new(1000), t0).expect("queued");
         mc.process(t0);
-        let done = mc.take_completed_reads();
+        let done: Vec<_> = mc.take_completed_reads().collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         let lat = done[0].1.duration_since(t0);
@@ -1458,8 +1462,9 @@ mod tests {
         // A demand read on channel 0 now sits behind the drain.
         let rid = mc.enqueue_read(LineAddr::new(0), now).expect("queued");
         mc.process(now);
-        assert!(
-            mc.take_completed_reads().is_empty(),
+        assert_eq!(
+            mc.take_completed_reads().len(),
+            0,
             "read must wait out the drain"
         );
         // Let the drain run its course.
@@ -1469,8 +1474,7 @@ mod tests {
                 None => break,
             }
             mc.process(now);
-            let done = mc.take_completed_reads();
-            if done.iter().any(|&(id, _)| id == rid) {
+            if mc.take_completed_reads().any(|(id, _)| id == rid) {
                 // The read waited at least one worst-case write.
                 assert!(now.duration_since(Instant::ZERO) >= Picos::from_ns(658.0));
                 return;

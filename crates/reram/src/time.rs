@@ -12,6 +12,16 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A span of simulated time in picoseconds.
 ///
+/// # Overflow
+///
+/// Growth saturates: `+`, `+=`, `* u64` and [`Sum`] stop at `u64::MAX`
+/// ps (about 213 simulated days) instead of wrapping, identically in
+/// debug and release builds. No run comes near that bound; a span that
+/// reaches it stays pinned at the maximum rather than wrapping to a short
+/// one. Subtraction is not saturating: `a - b` with `b > a` is a caller
+/// bug (debug builds panic); use [`Picos::saturating_sub`] where an
+/// underflow is expected.
+///
 /// # Examples
 ///
 /// ```
@@ -62,13 +72,13 @@ impl Picos {
 impl Add for Picos {
     type Output = Picos;
     fn add(self, rhs: Picos) -> Picos {
-        Picos(self.0 + rhs.0)
+        Picos(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Picos {
     fn add_assign(&mut self, rhs: Picos) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -88,7 +98,7 @@ impl SubAssign for Picos {
 impl Mul<u64> for Picos {
     type Output = Picos;
     fn mul(self, rhs: u64) -> Picos {
-        Picos(self.0 * rhs)
+        Picos(self.0.saturating_mul(rhs))
     }
 }
 
@@ -101,7 +111,7 @@ impl Div<u64> for Picos {
 
 impl Sum for Picos {
     fn sum<I: Iterator<Item = Picos>>(iter: I) -> Picos {
-        Picos(iter.map(|p| p.0).sum())
+        iter.fold(Picos::ZERO, Add::add)
     }
 }
 
@@ -112,6 +122,13 @@ impl fmt::Display for Picos {
 }
 
 /// An absolute simulated timestamp in picoseconds since simulation start.
+///
+/// # Overflow
+///
+/// `Instant + Picos` and `+=` saturate at `u64::MAX` ps, in debug and
+/// release builds alike, following the [`Picos`] policy: an event
+/// scheduled past the end of time lands at the last instant instead of
+/// wrapping to an early one, which would reorder the event queue.
 ///
 /// # Examples
 ///
@@ -158,13 +175,13 @@ impl Instant {
 impl Add<Picos> for Instant {
     type Output = Instant;
     fn add(self, rhs: Picos) -> Instant {
-        Instant(self.0 + rhs.as_ps())
+        Instant(self.0.saturating_add(rhs.as_ps()))
     }
 }
 
 impl AddAssign<Picos> for Instant {
     fn add_assign(&mut self, rhs: Picos) {
-        self.0 += rhs.as_ps();
+        *self = *self + rhs;
     }
 }
 
@@ -178,16 +195,17 @@ impl fmt::Display for Instant {
 ///
 /// Both backends pop events in exactly the same order — ascending
 /// `(Instant, sequence)` — so a simulation is bit-identical under either.
-/// [`QueueBackend::Calendar`] is the production default;
-/// [`QueueBackend::Heap`] is the straightforward binary heap kept as the
-/// reference implementation for differential tests and the `hotloop`
-/// bench.
+/// [`QueueBackend::Heap`] is the default and what every run uses unless
+/// a caller asks otherwise. [`QueueBackend::Calendar`] is selectable only
+/// explicitly: on the kernel's sparse near-future schedules most of its
+/// day buckets are empty, so it is slower than the heap. The differential
+/// tests pin its pop order to the heap's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueBackend {
-    /// Hierarchical calendar/bucket queue (fast path, default).
-    #[default]
+    /// Hierarchical calendar/bucket queue (explicit opt-in).
     Calendar,
-    /// Plain binary min-heap (reference path).
+    /// Plain binary min-heap (default).
+    #[default]
     Heap,
 }
 
@@ -197,8 +215,8 @@ pub enum QueueBackend {
 /// Events scheduled for the same instant pop in the order they were
 /// scheduled (each entry carries a monotonically increasing sequence
 /// number), so a simulation driven by an `EventQueue` is reproducible
-/// bit-for-bit regardless of queue internals. The backing structure is
-/// chosen at construction ([`EventQueue::with_backend`]); see
+/// bit-for-bit regardless of queue internals. [`EventQueue::new`] builds
+/// the binary heap; [`EventQueue::with_backend`] can choose another
 /// [`QueueBackend`].
 ///
 /// # Examples
@@ -264,7 +282,7 @@ impl<K> Default for EventQueue<K> {
 }
 
 impl<K> EventQueue<K> {
-    /// An empty queue on the default (calendar) backend.
+    /// An empty queue on the default (binary heap) backend.
     pub fn new() -> Self {
         Self::with_backend(QueueBackend::default())
     }
@@ -339,9 +357,9 @@ impl<K> EventQueue<K> {
 /// to a linked-list scan.
 ///
 /// The bucket count and day width resize deterministically from the live
-/// event count and span, so pop/push are O(1) amortized on the kernel's
-/// typical schedules while the pop *order* — ascending `(at, seq)` — stays
-/// exactly that of the reference heap.
+/// event count and span, so pop/push are O(1) amortized on dense, deep
+/// schedules (several events per day), while the pop *order* — ascending
+/// `(at, seq)` — stays exactly that of the default heap.
 #[derive(Debug)]
 struct Calendar<K> {
     buckets: Vec<BinaryHeap<Scheduled<K>>>,
@@ -511,6 +529,38 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_duration_panics() {
         let _ = Picos::from_ns(-1.0);
+    }
+
+    #[test]
+    fn additive_growth_saturates_at_the_end_of_time() {
+        let max = Picos::from_ps(u64::MAX);
+        let one = Picos::from_ps(1);
+        assert_eq!(max + one, max);
+        let mut p = max;
+        p += Picos::from_ps(7);
+        assert_eq!(p, max);
+        assert_eq!(Picos::from_ps(u64::MAX / 2 + 1) * 2, max);
+        let total: Picos = [max, one, one].into_iter().sum();
+        assert_eq!(total, max);
+        let end = Instant::from_ps(u64::MAX);
+        assert_eq!(end + one, end);
+        let mut t = Instant::from_ps(u64::MAX - 1);
+        t += Picos::from_ps(5);
+        assert_eq!(t, end);
+        // Below the bound the arithmetic is exact.
+        assert_eq!((max - one) + one, max);
+        assert_eq!(Instant::from_ps(u64::MAX - 3) + Picos::from_ps(3), end);
+    }
+
+    #[test]
+    fn heap_is_the_default_backend() {
+        assert_eq!(QueueBackend::default(), QueueBackend::Heap);
+        assert_eq!(EventQueue::<()>::new().backend(), QueueBackend::Heap);
+        assert_eq!(EventQueue::<()>::default().backend(), QueueBackend::Heap);
+        assert_eq!(
+            EventQueue::<()>::with_backend(QueueBackend::Calendar).backend(),
+            QueueBackend::Calendar
+        );
     }
 
     #[test]

@@ -85,10 +85,10 @@ pub struct SimConfig {
     /// byte-identical to runs predating this knob. Only meaningful when
     /// `faults` is set.
     pub remap: RemapKind,
-    /// Event-queue backend driving the kernel. Both backends pop in the
-    /// same deterministic order, so results are bit-identical either way;
-    /// [`QueueBackend::Heap`] is the reference path used by differential
-    /// tests, [`QueueBackend::Calendar`] (default) the fast path.
+    /// Event-queue backend driving the kernel (default:
+    /// [`QueueBackend::Heap`]). Both backends pop in the same
+    /// deterministic order, so results are bit-identical either way;
+    /// [`QueueBackend::Calendar`] runs only when asked for.
     pub queue: QueueBackend,
     /// Capture a structured trace ([`RunResult::trace`]).
     pub trace: bool,
@@ -119,7 +119,7 @@ impl SimConfig {
                 faults: None,
                 coding: CodingKind::Flat,
                 remap: RemapKind::Retire,
-                queue: QueueBackend::Calendar,
+                queue: QueueBackend::Heap,
                 trace: false,
                 service: None,
             },
@@ -239,8 +239,7 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the kernel event-queue backend (default: the calendar
-    /// queue; the heap is the reference for differential tests).
+    /// Selects the kernel event-queue backend (default: the binary heap).
     pub fn queue(mut self, backend: QueueBackend) -> Self {
         self.cfg.queue = backend;
         self
@@ -395,7 +394,7 @@ mod tests {
         assert!(cfg.faults.is_none() && !cfg.trace);
         assert_eq!(cfg.coding, CodingKind::Flat);
         assert_eq!(cfg.remap, RemapKind::Retire);
-        assert_eq!(cfg.queue, QueueBackend::Calendar);
+        assert_eq!(cfg.queue, QueueBackend::Heap);
         assert!(cfg.service.is_none());
         assert_eq!(cfg.shards(), 1);
     }
@@ -418,7 +417,7 @@ mod tests {
             .faults(FaultConfig::with_ber(7, 1e-5))
             .coding(CodingKind::TieredBch)
             .remap(RemapKind::Pad)
-            .queue(QueueBackend::Heap)
+            .queue(QueueBackend::Calendar)
             .trace(true)
             .service(ServiceConfig::builder().load(6.0).build())
             .build();
@@ -432,7 +431,7 @@ mod tests {
         assert!(cfg.faults.is_some());
         assert_eq!(cfg.coding, CodingKind::TieredBch);
         assert_eq!(cfg.remap, RemapKind::Pad);
-        assert_eq!(cfg.queue, QueueBackend::Heap);
+        assert_eq!(cfg.queue, QueueBackend::Calendar);
         assert_eq!(cfg.service.unwrap().load, 6.0);
     }
 

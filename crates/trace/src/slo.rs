@@ -83,23 +83,32 @@ impl TenantLatencies {
     /// metadata. Call once per tenant before recording, so every tenant
     /// appears in the report even when it completed no reads.
     pub fn ensure(&mut self, tenant: &str, weight_ppm: u64, qos_code: u64) {
-        let g = self.groups.entry(tenant.to_string()).or_default();
+        let g = self.register(tenant);
         g.weight_ppm = g.weight_ppm.max(weight_ppm);
         g.qos_code = g.qos_code.max(qos_code);
     }
 
-    /// Records one completed read's arrival→completion latency.
+    /// Records one completed read's arrival→completion latency. Does not
+    /// allocate for a tenant registered with [`TenantLatencies::ensure`].
     pub fn record_read(&mut self, tenant: &str, latency: Picos) {
-        self.groups
-            .entry(tenant.to_string())
-            .or_default()
-            .reads
-            .record(latency);
+        match self.groups.get_mut(tenant) {
+            Some(g) => g.reads.record(latency),
+            None => self.register(tenant).reads.record(latency),
+        }
     }
 
-    /// Counts one accepted write.
+    /// Counts one accepted write. Does not allocate for a tenant
+    /// registered with [`TenantLatencies::ensure`].
     pub fn note_write(&mut self, tenant: &str) {
-        self.groups.entry(tenant.to_string()).or_default().writes += 1;
+        match self.groups.get_mut(tenant) {
+            Some(g) => g.writes += 1,
+            None => self.register(tenant).writes += 1,
+        }
+    }
+
+    /// A tenant's group, created (name allocated) on first use.
+    fn register(&mut self, tenant: &str) -> &mut TenantGroup {
+        self.groups.entry(tenant.to_string()).or_default()
     }
 
     /// One tenant's group, when present.

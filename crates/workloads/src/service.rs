@@ -431,15 +431,17 @@ impl TenantMix {
         let per_tenant = page_span / n as u64;
         const QOS_ROTATION: [QosClass; 3] =
             [QosClass::Premium, QosClass::Standard, QosClass::BestEffort];
+        // Bound the key space so the Zipfian normalizer stays cheap to
+        // precompute and the hot set is meaningful. Every tenant shares
+        // the key count and skew, so the normalizer is computed once and
+        // the (`Copy`) distribution copied into each tenant.
+        let keys = per_tenant.clamp(1, 16_384);
+        let zipf = (zipf_theta > 0.0).then(|| ZipfianKeys::new(keys, zipf_theta));
         let tenants = (0..n)
             .map(|i| {
-                // Bound the key space so the Zipfian normalizer stays
-                // cheap to precompute and the hot set is meaningful.
-                let keys = per_tenant.clamp(1, 16_384);
-                let popularity: Box<dyn KeyPopularity> = if zipf_theta > 0.0 {
-                    Box::new(ZipfianKeys::new(keys, zipf_theta))
-                } else {
-                    Box::new(UniformKeys::new(keys))
+                let popularity: Box<dyn KeyPopularity> = match zipf {
+                    Some(z) => Box::new(z),
+                    None => Box::new(UniformKeys::new(keys)),
                 };
                 Tenant {
                     name: format!("t{i}"),
@@ -671,6 +673,19 @@ mod tests {
         );
         for _ in 0..1000 {
             assert!(zipf.next_key(&mut rng) < 1000);
+        }
+    }
+
+    #[test]
+    fn standard_mix_tenants_draw_like_a_fresh_zipfian() {
+        let mut mix = mix3();
+        let keys = 30_000 / 3;
+        for t in &mut mix.tenants {
+            let mut fresh = ZipfianKeys::new(keys, 0.99);
+            let (mut a, mut b) = (SplitMix64::new(17), SplitMix64::new(17));
+            for _ in 0..10_000 {
+                assert_eq!(t.popularity.next_key(&mut a), fresh.next_key(&mut b));
+            }
         }
     }
 

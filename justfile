@@ -42,9 +42,17 @@ perfbench-check:
     cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Run the criterion-shim benches once each, which also enforces the
-# tracing disabled-path allocation gate (trace_overhead).
+# allocation gates (trace_overhead: the disabled recorder, the controller
+# read and write hot paths, tenant latency recording).
 bench-check:
     cargo test -q -p ladder-bench --benches --offline
+
+# Paired perfbench comparison of the working tree against a parent
+# revision: interleaved runs with the first side alternating, per-metric
+# median/q1/q3, wins/losses and sim_digest equality
+# (e.g. `just perfpair HEAD~1 lifetime 10 30 2021`).
+perfpair rev workload pairs="10" seconds="30" seed="2021":
+    ./scripts/perfpair.sh {{rev}} {{workload}} {{pairs}} {{seconds}} {{seed}}
 
 # Regenerate the golden trace digests (monolithic and sharded) after an
 # intentional simulator change (commit the resulting tests/golden/ diff).

@@ -63,8 +63,10 @@ if [ "$clean_rc" -ne 0 ]; then
 fi
 
 # The criterion-shim benches double as gates: trace_overhead asserts the
-# write hot path performs zero allocations with tracing disabled.
-echo "==> bench smoke + tracing allocation gate"
+# controller's write and read hot paths perform zero allocations with
+# tracing disabled, and that recording into a registered tenant's latency
+# group allocates nothing.
+echo "==> bench smoke + allocation gates"
 cargo test -q -p ladder-bench --benches --offline
 
 # Every ladder-bench binary must at least complete a scaled-down run:

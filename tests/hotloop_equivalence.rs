@@ -1,8 +1,9 @@
 //! The hot-loop equivalence battery: every fast path introduced by the
-//! performance overhaul (SWAR bit kernels, quantized timing-table lookup,
-//! calendar event queue) is proven bit-identical to its retained reference
-//! implementation — on arbitrary inputs via the offline proptest shim, and
-//! end-to-end via a differential full quick run on both queue backends.
+//! performance overhaul (SWAR bit kernels, quantized timing-table lookup)
+//! is proven bit-identical to its retained reference implementation, and
+//! the opt-in calendar event queue to the default binary heap — on
+//! arbitrary inputs via the offline proptest shim, and end-to-end via a
+//! differential full quick run on both queue backends.
 //!
 //! See `DESIGN.md` §15 for the fast-path/reference-path discipline.
 
