@@ -16,8 +16,7 @@ use crate::partial::{
     estimate_cw_lrs, estimate_cw_lrs_low, exact_cw_lrs, LowPrecisionCounters, PartialCounters,
 };
 use crate::shift::{shift_line, unshift_line};
-use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, LINES_PER_WLG};
-use std::collections::HashMap;
+use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, U64Map, LINES_PER_WLG};
 
 /// Which LADDER variant the engine implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,7 +166,7 @@ pub struct LadderEngine {
     map: AddressMap,
     layout: MetadataLayout,
     cache: MetadataCache,
-    flip_masks: HashMap<u64, u8>,
+    flip_masks: U64Map<u8>,
     stats: EngineStats,
 }
 
@@ -181,7 +180,7 @@ impl LadderEngine {
             map,
             layout,
             cache,
-            flip_masks: HashMap::new(),
+            flip_masks: U64Map::default(),
             stats: EngineStats::default(),
         }
     }

@@ -19,7 +19,7 @@ use ladder_reram::{
 use ladder_trace::{
     LatencyHistogram, Mergeable, PulseKind, ReadClass, TraceRecord, TraceRecorder, C_LRS_UNTRACKED,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Controller configuration (paper Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,7 +301,10 @@ struct ReadEntry {
     bank: usize,
     kind: RKind,
     enqueued_at: Instant,
-    for_write: Option<ReqId>,
+    /// The data write this dependency read feeds: its id and the channel
+    /// whose write queue holds it (data writes never sit in the write
+    /// overflow, so the write is always found there).
+    for_write: Option<(ReqId, usize)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,6 +323,9 @@ struct WriteEntry {
     kind: WKind,
     prepared: bool,
     enqueued_at: Instant,
+    /// Dependency reads still gating this write, set by the prepare step;
+    /// `None` for writes that need none (and for metadata write-backs).
+    deps: Option<DepState>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -417,7 +423,6 @@ pub struct MemoryController {
     store: LineStore,
     channels: Vec<Channel>,
     banks: Vec<Instant>,
-    write_deps: HashMap<ReqId, DepState>,
     spill: SpillBuffer,
     completed_reads: Vec<(ReqId, Instant)>,
     next_id: u64,
@@ -475,7 +480,6 @@ impl MemoryController {
             store: LineStore::new(),
             channels,
             banks,
-            write_deps: HashMap::new(),
             completed_reads: Vec::new(),
             next_id: 0,
             stats: MemStats::default(),
@@ -556,7 +560,6 @@ impl MemoryController {
             c.write_overflow.clear();
             c.mode = Mode::Read;
         }
-        self.write_deps.clear();
         while self.spill.pop().is_some() {}
         self.policy.crash_recover(&mut self.store);
     }
@@ -627,6 +630,7 @@ impl MemoryController {
             kind: WKind::Data,
             prepared: false,
             enqueued_at: now,
+            deps: None,
         };
         // Push first, then prepare: metadata write-backs evicted by the
         // prepare go through the bounded overflow path instead of pushing
@@ -667,13 +671,11 @@ impl MemoryController {
         if prep.reads.is_empty() {
             return;
         }
-        self.write_deps.insert(
-            entry.id,
-            DepState {
-                outstanding: prep.reads.len() as u32,
-                ready_at: now,
-            },
-        );
+        entry.deps = Some(DepState {
+            outstanding: prep.reads.len() as u32,
+            ready_at: now,
+        });
+        let wch = self.channel_of(entry.addr);
         for r in prep.reads {
             let kind = match r.kind {
                 ReadKind::Smb => {
@@ -692,7 +694,7 @@ impl MemoryController {
                 bank: self.bank_of(r.addr),
                 kind,
                 enqueued_at: now,
-                for_write: Some(entry.id),
+                for_write: Some((entry.id, wch)),
             };
             let c = &mut self.channels[rch];
             if c.rdq.len() < self.cfg.rdq_capacity {
@@ -745,6 +747,7 @@ impl MemoryController {
             kind: WKind::MetadataWriteback,
             prepared: true,
             enqueued_at: now,
+            deps: None,
         };
         let ch = self.channel_of(addr);
         let c = &mut self.channels[ch];
@@ -975,8 +978,13 @@ impl MemoryController {
                 self.completed_reads.push((entry.id, completion));
             }
             RKind::Smb | RKind::Metadata => {
-                if let Some(wid) = entry.for_write {
-                    if let Some(dep) = self.write_deps.get_mut(&wid) {
+                if let Some((wid, wch)) = entry.for_write {
+                    let dep = self.channels[wch]
+                        .wrq
+                        .iter_mut()
+                        .find(|w| w.id == wid)
+                        .and_then(|w| w.deps.as_mut());
+                    if let Some(dep) = dep {
                         dep.outstanding -= 1;
                         dep.ready_at = dep.ready_at.max(completion);
                         if dep.outstanding == 0 {
@@ -995,12 +1003,11 @@ impl MemoryController {
         let idx = {
             let c = &self.channels[ch];
             let banks = &self.banks;
-            let deps = &self.write_deps;
             c.wrq.iter().position(|w| {
                 if !w.prepared {
                     return false;
                 }
-                if let Some(dep) = deps.get(&w.id) {
+                if let Some(dep) = &w.deps {
                     if dep.outstanding > 0 || dep.ready_at > now {
                         return false;
                     }
@@ -1010,7 +1017,6 @@ impl MemoryController {
         };
         let Some(idx) = idx else { return false };
         let entry = self.channels[ch].wrq.remove(idx);
-        self.write_deps.remove(&entry.id);
         let bank = entry.bank;
         let (t_wr, bits_set, bits_reset, cw_lrs) = match entry.kind {
             WKind::Data => {
@@ -1511,6 +1517,99 @@ mod tests {
         assert!(end.duration_since(t0) >= DeviceTiming::default().read_latency());
     }
 
+    /// An Est controller and a data line whose metadata line (Partial
+    /// format: one line per wordline group) sits on the other channel.
+    fn cross_channel_write() -> (MemoryController, LineAddr) {
+        let mc = ladder_mc(LadderVariant::Est);
+        let layout = ladder_core::MetadataLayout::new(
+            mc.map.geometry(),
+            ladder_core::MetadataFormat::Partial,
+        );
+        let addr = (layout.first_data_page()..)
+            .map(|page| LineAddr::new(page * 64))
+            .find(|&a| {
+                let meta = layout.metadata_for(mc.wlg_of(a)).primary_line();
+                mc.channel_of(meta) != mc.channel_of(a)
+            })
+            .expect("some page keeps its metadata on the other channel");
+        (mc, addr)
+    }
+
+    #[test]
+    fn cross_channel_fill_gates_the_write_until_it_is_ready() {
+        let (mut mc, addr) = cross_channel_write();
+        let t0 = Instant::ZERO;
+        assert!(mc.enqueue_write(addr, [0x55; 64], t0));
+        let wch = mc.channel_of(addr);
+        let rch = 1 - wch;
+        let wid = mc.channels[wch].wrq[0].id;
+        let fill = &mc.channels[rch].rdq[0];
+        assert_eq!(fill.kind, RKind::Metadata);
+        assert_eq!(fill.for_write, Some((wid, wch)));
+        // The fill has not issued: the write may not either.
+        assert!(!mc.issue_write(wch, t0));
+        mc.process(t0);
+        assert!(mc.channels[rch].rdq.is_empty(), "the fill issued");
+        assert_eq!(mc.stats().data_writes, 0);
+        let ready: Vec<Instant> = mc
+            .take_wakes()
+            .filter(|&(_, k)| k == CtrlWake::DepReady)
+            .map(|(at, _)| at)
+            .collect();
+        let [ready_at] = ready[..] else {
+            panic!("expected one DepReady wake, got {ready:?}");
+        };
+        assert_eq!(
+            ready_at.duration_since(t0),
+            DeviceTiming::default().read_latency()
+        );
+        // Issued but not yet returned: still gated.
+        mc.process(Instant::from_ps(ready_at.as_ps() - 1));
+        assert_eq!(mc.stats().data_writes, 0);
+        mc.process(ready_at);
+        assert_eq!(mc.stats().data_writes, 1);
+        assert!(mc.channels[wch].wrq.is_empty());
+    }
+
+    #[test]
+    fn crash_recover_leaves_no_dependency_behind() {
+        let (mut mc, addr) = cross_channel_write();
+        let t0 = Instant::ZERO;
+        // A write whose fill is still queued when the power fails.
+        assert!(mc.enqueue_write(addr, [0x55; 64], t0));
+        assert!(mc.channels[mc.channel_of(addr)].wrq[0].deps.is_some());
+        mc.crash_recover();
+        assert!(mc.is_idle());
+        // Later writes, to the same line and to its neighbour, all drain.
+        assert!(mc.enqueue_write(addr, [0xAA; 64], t0));
+        assert!(mc.enqueue_write(LineAddr::new(addr.raw() + 1), [0x0F; 64], t0));
+        mc.finish(t0);
+        assert!(mc.is_idle());
+        assert_eq!(mc.stats().data_writes, 2);
+    }
+
+    #[test]
+    fn metadata_writeback_is_never_gated_on_dependencies() {
+        let (mut mc, addr) = cross_channel_write();
+        let t0 = Instant::ZERO;
+        assert!(mc.enqueue_write(addr, [0x55; 64], t0));
+        let wch = mc.channel_of(addr);
+        // A write-back of some metadata line on the same channel, queued
+        // behind the data write whose fill has not issued.
+        let meta = (0..)
+            .map(LineAddr::new)
+            .find(|&l| mc.channel_of(l) == wch && mc.bank_of(l) != mc.bank_of(addr))
+            .expect("a metadata line on the write's channel");
+        mc.enqueue_metadata_writeback(meta, t0);
+        let wb = &mc.channels[wch].wrq[1];
+        assert_eq!(wb.kind, WKind::MetadataWriteback);
+        assert!(wb.deps.is_none());
+        assert!(mc.issue_write(wch, t0));
+        assert_eq!(mc.stats().metadata_writes, 1);
+        assert_eq!(mc.stats().data_writes, 0);
+        assert!(!mc.issue_write(wch, t0), "the data write is still gated");
+    }
+
     #[test]
     fn basic_issues_smb_reads_per_write() {
         let mut mc = ladder_mc(LadderVariant::Basic);
@@ -1659,6 +1758,66 @@ mod stress_tests {
         assert!(mc.is_idle());
         assert!(end > Instant::ZERO);
         assert_eq!(mc.stats().data_writes, 40);
+    }
+
+    /// Dependency bookkeeping: metadata write-backs carry no dependency
+    /// state, only write-backs overflow, and every data write's
+    /// outstanding count equals the queued dependency reads naming it
+    /// and its channel.
+    fn assert_dep_invariants(mc: &MemoryController) {
+        for (ch, c) in mc.channels.iter().enumerate() {
+            assert!(c
+                .write_overflow
+                .iter()
+                .all(|w| w.kind == WKind::MetadataWriteback && w.deps.is_none()));
+            for w in &c.wrq {
+                if w.kind == WKind::MetadataWriteback {
+                    assert!(w.deps.is_none(), "write-back {:?} has dependencies", w.id);
+                    continue;
+                }
+                let queued = mc
+                    .channels
+                    .iter()
+                    .flat_map(|c| c.rdq.iter().chain(&c.dep_overflow))
+                    .filter(|r| r.for_write == Some((w.id, ch)))
+                    .count();
+                let outstanding = w.deps.map_or(0, |d| d.outstanding as usize);
+                assert_eq!(queued, outstanding, "write {:?}", w.id);
+            }
+        }
+    }
+
+    #[test]
+    fn dependency_state_tracks_queued_reads_under_spills_and_overflow() {
+        let mut mc = tiny_cache_mc();
+        let mut now = Instant::ZERO;
+        let first_data = 50_000u64;
+        for i in 0..64u64 {
+            let _ = mc.enqueue_read(LineAddr::new((first_data + i) * 64), now);
+        }
+        for i in 0..200u64 {
+            let addr = LineAddr::new((first_data + 100 + i * 3) * 64 + i % 64);
+            while !mc.enqueue_write(addr, [(i % 251) as u8; 64], now) {
+                now = mc.next_wake(now).expect("progress");
+                mc.process(now);
+                assert_dep_invariants(&mc);
+            }
+            assert_dep_invariants(&mc);
+            mc.process(now);
+            assert_dep_invariants(&mc);
+        }
+        while let Some(t) = mc.next_wake(now) {
+            now = t;
+            mc.process(now);
+            assert_dep_invariants(&mc);
+        }
+        // What is left is spilled writes, which the final drain retries.
+        mc.finish(now);
+        assert!(mc.is_idle());
+        let s = mc.stats();
+        assert_eq!(s.data_writes, 200);
+        assert!(s.metadata_writes > 0, "the tiny cache must write back");
+        assert!(s.spill_peak > 0, "the tiny cache must spill");
     }
 
     #[test]

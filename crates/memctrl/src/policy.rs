@@ -10,9 +10,8 @@ use ladder_core::{
     apply_fnw, exact_cw_lrs, DependencyRead, FnwOutcome, FnwPolicy, LadderConfig, LadderEngine,
     LadderVariant,
 };
-use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, Picos};
+use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, Picos, U64Map};
 use ladder_xbar::{ContentAxis, TableConfig, TimingTable};
-use std::collections::HashMap;
 
 /// Extra work a write needs when it enters the write queue.
 #[derive(Debug, Clone, Default)]
@@ -380,7 +379,7 @@ pub struct LadderPolicy {
     map: AddressMap,
     trace: CwTrace,
     /// Last-persisted metadata images, for write-back switching statistics.
-    persisted_meta: HashMap<u64, LineData>,
+    persisted_meta: U64Map<LineData>,
 }
 
 impl LadderPolicy {
@@ -401,7 +400,7 @@ impl LadderPolicy {
             table,
             map,
             trace: CwTrace::default(),
-            persisted_meta: HashMap::new(),
+            persisted_meta: U64Map::default(),
         }
     }
 

@@ -10,6 +10,39 @@ use crate::address::LineAddr;
 use crate::bits;
 use crate::geometry::LINE_BYTES;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A hasher for `u64` keys such as line addresses: one multiply-fold
+/// (the 128-bit product of the key and an odd constant, high half xor low
+/// half) instead of SipHash.
+///
+/// It is unkeyed, so a map's layout depends only on its keys and
+/// insertion history, never on a per-process seed. The maps that use it
+/// are only looked up, never iterated, so no hash order reaches any
+/// simulated result. Not DoS-resistant; the keys here are simulator
+/// addresses, not untrusted input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct U64Hasher(u64);
+
+impl Hasher for U64Hasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p >> 64) as u64 ^ p as u64;
+    }
+}
+
+/// A `HashMap` keyed by `u64` under [`U64Hasher`].
+pub type U64Map<V> = HashMap<u64, V, BuildHasherDefault<U64Hasher>>;
 
 /// Contents of one 64 B memory line.
 pub type LineData = [u8; LINE_BYTES];
@@ -62,8 +95,8 @@ impl FaultMask {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LineStore {
-    lines: HashMap<u64, LineData>,
-    faults: HashMap<u64, FaultMask>,
+    lines: U64Map<LineData>,
+    faults: U64Map<FaultMask>,
 }
 
 impl LineStore {

@@ -30,7 +30,7 @@ use ladder_wear::{
 };
 use ladder_workloads::service::ServiceGen;
 use ladder_xbar::CrossbarParams;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-core outcome of a run.
 #[derive(Debug, Clone)]
@@ -313,7 +313,7 @@ pub(crate) fn simulate(
             gen,
             next: None,
             pending: VecDeque::new(),
-            inflight: BTreeMap::new(),
+            inflight: IdMap::new(),
             stats,
         }
     });
@@ -322,7 +322,7 @@ pub(crate) fn simulate(
         leveler,
         remap: fault_model.as_ref().map(|(_, backend)| backend.clone()),
         hwl: (cfg.leveling == Leveling::Segment).then(RotateHwl::new),
-        pending_reads: BTreeMap::new(),
+        pending_reads: IdMap::new(),
         pending_migrations: VecDeque::new(),
         core_finish: vec![None; cores.len()],
         events: EventQueue::with_backend(cfg.queue),
@@ -524,7 +524,9 @@ struct EventKernel {
     /// pages; the fault backend wins last).
     remap: Option<RemapBackend>,
     hwl: Option<RotateHwl>,
-    pending_reads: BTreeMap<u64, usize>,
+    /// Core reads the controller accepted and has not completed: request
+    /// id → core index.
+    pending_reads: IdMap<usize>,
     pending_migrations: VecDeque<LineAddr>,
     core_finish: Vec<Option<Instant>>,
     events: EventQueue<EventKind>,
@@ -545,6 +547,41 @@ struct EventKernel {
     service: Option<ServiceState>,
 }
 
+/// A map from request id to `V`, kept as a `Vec` sorted by id.
+///
+/// The reads in flight at once are few (bounded by the read queues and
+/// the cores' MSHRs), and the controller hands out ids in increasing
+/// order, so an insert appends and a lookup is a binary search over a
+/// short, cache-resident slice — cheaper than a search tree's node walk.
+/// An out-of-order id still lands in its sorted place. Ids are unique.
+#[derive(Debug)]
+struct IdMap<V>(Vec<(u64, V)>);
+
+impl<V> IdMap<V> {
+    fn new() -> Self {
+        Self(Vec::new())
+    }
+
+    fn insert(&mut self, id: u64, value: V) {
+        match self.0.last() {
+            Some(&(last, _)) if last > id => {
+                let at = self.0.partition_point(|&(k, _)| k < id);
+                self.0.insert(at, (id, value));
+            }
+            _ => self.0.push((id, value)),
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<V> {
+        let at = self.0.binary_search_by_key(&id, |&(k, _)| k).ok()?;
+        Some(self.0.remove(at).1)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// Kernel-side state of the open-loop service stream.
 ///
 /// Arrivals are pumped one at a time: the next request is drawn from the
@@ -562,7 +599,7 @@ struct ServiceState {
     pending: VecDeque<(Instant, usize, TraceOp)>,
     /// Accepted reads awaiting completion: request id → (tenant index,
     /// arrival instant).
-    inflight: BTreeMap<u64, (usize, Instant)>,
+    inflight: IdMap<(usize, Instant)>,
     stats: ServiceStats,
 }
 
@@ -606,11 +643,11 @@ impl EventKernel {
                     self.drive_core(cores, i, now);
                 }
                 EventKind::ReadComplete(id) => {
-                    if let Some(core_idx) = self.pending_reads.remove(&id.0) {
+                    if let Some(core_idx) = self.pending_reads.remove(id.0) {
                         cores[core_idx].on_read_completed(id.0, now);
                         self.drive_core(cores, core_idx, now);
                     } else if let Some(svc) = &mut self.service {
-                        if let Some((tenant, arrived)) = svc.inflight.remove(&id.0) {
+                        if let Some((tenant, arrived)) = svc.inflight.remove(id.0) {
                             svc.stats.reads_completed += 1;
                             // Open-loop latency runs from *arrival*, not
                             // from controller acceptance: queueing ahead
@@ -657,6 +694,10 @@ impl EventKernel {
         assert!(
             cores.iter().all(|c| c.is_finished()),
             "event queue drained with unfinished cores (scheduling bug)"
+        );
+        assert!(
+            self.pending_reads.is_empty(),
+            "cores finished with undelivered read completions (scheduling bug)"
         );
         if let Some(svc) = &self.service {
             assert!(
@@ -908,6 +949,37 @@ mod tests {
             })
             .collect();
         VecTrace::new("simple", events)
+    }
+
+    #[test]
+    fn id_map_keeps_an_out_of_order_insert_sorted() {
+        let mut m = IdMap::new();
+        for id in [2, 5, 9] {
+            m.insert(id, id * 10);
+        }
+        m.insert(7, 70);
+        m.insert(1, 10);
+        let ids: Vec<u64> = m.0.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [1, 2, 5, 7, 9]);
+        assert_eq!(m.remove(7), Some(70));
+        assert_eq!(m.remove(1), Some(10));
+        assert_eq!(m.remove(9), Some(90));
+        m.insert(6, 60);
+        let ids: Vec<u64> = m.0.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [2, 5, 6]);
+    }
+
+    #[test]
+    fn id_map_remove_of_an_unknown_id_is_none() {
+        let mut m: IdMap<usize> = IdMap::new();
+        assert_eq!(m.remove(3), None);
+        m.insert(3, 0);
+        m.insert(8, 1);
+        assert_eq!(m.remove(4), None);
+        assert_eq!(m.remove(3), Some(0));
+        assert_eq!(m.remove(3), None);
+        assert_eq!(m.remove(8), Some(1));
+        assert!(m.is_empty());
     }
 
     #[test]

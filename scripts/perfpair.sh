@@ -14,8 +14,10 @@
 # Output: one `run` row per run (pair, side, sim_digest, failed, attempted
 # and the five end-to-end metrics), then per metric the median, q1 and q3
 # of each side (inclusive quartiles) and the change's wins and losses over
-# the pairs (ties count for neither), then whether every run of both sides
-# printed the same sim_digest.
+# the pairs (ties count for neither); then, for requests_per_s, each
+# pair's change/parent ratio and the median of those ratios (on a noisy
+# host the paired ratio is much steadier than either side's median); then
+# whether every run of both sides printed the same sim_digest.
 #
 # Defaults: 10 pairs, 30 s per run, seed 2021. Only reads perfbench/ and
 # the parent revision; bash and awk only.
@@ -100,14 +102,17 @@ awk -v metrics="$metrics" '
         lo = int(h)
         return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
     }
-    function sorted_stats(side, m,   v, n, i, j, t) {
-        n = 0
-        for (i = 1; i <= npairs; i++) if ((i, side) in val) v[++n] = val[i, side, m]
+    function isort(v, n,   i, j, t) {
         for (i = 2; i <= n; i++) {
             t = v[i]
             for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]
             v[j + 1] = t
         }
+    }
+    function sorted_stats(side, m,   v, n, i) {
+        n = 0
+        for (i = 1; i <= npairs; i++) if ((i, side) in val) v[++n] = val[i, side, m]
+        isort(v, n)
         return sprintf("%12.6g %12.6g %12.6g", quant(v, n, 0.5), quant(v, n, 0.25), quant(v, n, 0.75))
     }
     $1 == "run" {
@@ -132,6 +137,19 @@ awk -v metrics="$metrics" '
                 else if (d < 0) losses++
             }
             printf "%-18s %s | %s | %4d %6d\n", nb[1], sorted_stats("parent", m), sorted_stats("change", m), wins, losses
+            if (nb[1] == "requests_per_s") rps = m
+        }
+        nr = 0
+        row = ""
+        for (i = 1; i <= npairs; i++) {
+            if (!((i, "parent") in val) || !((i, "change") in val) || val[i, "parent", rps] == 0) continue
+            ratio[++nr] = val[i, "change", rps] / val[i, "parent", rps]
+            row = row sprintf(" %.4f", ratio[nr])
+        }
+        if (nr > 0) {
+            printf "\nrequests_per_s change/parent by pair:%s\n", row
+            isort(ratio, nr)
+            printf "requests_per_s median paired ratio: %.4f\n", quant(ratio, nr, 0.5)
         }
         nd = 0
         for (d in digests) { nd++; one = d }
