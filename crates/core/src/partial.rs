@@ -196,6 +196,7 @@ pub fn exact_cw_lrs<'a>(lines: impl Iterator<Item = &'a LineData>) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn encoding_levels_match_paper() {
@@ -284,5 +285,38 @@ mod tests {
             [pc.decode(0), pc.decode(1), pc.decode(2), pc.decode(3)],
             [5, 1, 5, 1]
         );
+    }
+
+    fn arb_line() -> impl Strategy<Value = [u8; 64]> {
+        prop::collection::vec(any::<u8>(), 64).prop_map(|v| {
+            let mut a = [0u8; 64];
+            a.copy_from_slice(&v);
+            a
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Per-mat partial counts go through the SWAR worst-byte kernel;
+        // the byte-wise worst-byte count here is the definition.
+        #[test]
+        fn partial_counters_match_bytewise_definition(line in arb_line()) {
+            let pc = PartialCounters::from_line(&line);
+            for j in 0..4 {
+                let worst = line[j * 16..(j + 1) * 16]
+                    .iter()
+                    .map(|b| b.count_ones())
+                    .max()
+                    .unwrap_or(0);
+                let expect = match worst {
+                    0..=1 => 1,
+                    2..=3 => 3,
+                    4..=5 => 5,
+                    _ => 8,
+                };
+                prop_assert_eq!(pc.decode(j), expect);
+            }
+        }
     }
 }

@@ -1,20 +1,20 @@
 //! Pass 1 of the two-pass analyzer: a lightweight workspace symbol index.
 //!
 //! The semantic rules (the crate-private `semantic` module) need to see
-//! *across* files — does a reference kernel have a fast twin somewhere,
-//! is a `*Stats` struct folded anywhere — so this module walks every
-//! file's token stream once and records just enough structure for those
-//! questions: functions (with a normalized signature, module path and
-//! surrounding `impl`), structs with their typed fields, enums with their
-//! variants, `impl Trait for Type` headers, and the set of identifiers
-//! each file mentions. It is *not* a parser: it recognizes item heads by keyword
+//! *across* files — does a `*Stats` struct `impl Mergeable`, is it folded
+//! anywhere, which fields of a counter struct are integers — so this
+//! module walks every file's token stream once and records just enough
+//! structure for those questions: functions (with their surrounding
+//! `impl` and body range), structs with their typed fields,
+//! `impl Trait for Type` headers, and the set of identifiers each file
+//! mentions. It is *not* a parser: it recognizes item heads by keyword
 //! and matches braces, which is sound for the workspace's rustfmt'd,
 //! compiling code and keeps the analyzer dependency-free (no `syn`).
 //!
 //! Determinism: the index is a pure function of the *set* of files —
 //! inputs are sorted by path before the walk, so a shuffled file list
 //! produces a bit-identical index (property-tested in
-//! `tests/index_order.rs`).
+//! `tests/index_stability.rs`).
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::rules::{in_spans, test_spans, SourceUnit, Span};
@@ -25,24 +25,12 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct FnItem {
     /// Workspace-relative path of the defining file.
     pub file: String,
-    /// 1-based line of the function's name token.
-    pub line: usize,
-    /// 1-based column of the function's name token.
-    pub col: usize,
     /// The function's name.
     pub name: String,
-    /// Normalized signature: the parameter list and return type as a
-    /// space-joined token string with literals collapsed (`N`/`S`/`C`),
-    /// so twins compare equal regardless of formatting.
-    pub sig: String,
-    /// Enclosing `mod` names, outermost first (file-relative).
-    pub modules: Vec<String>,
     /// The `impl` target type, when defined inside an `impl` block.
     pub impl_type: Option<String>,
     /// The `impl` trait (last path segment), for trait impls.
     pub trait_name: Option<String>,
-    /// Whether the item is `pub` (any visibility qualifier counts).
-    pub is_pub: bool,
     /// Token-index range of the body braces in the file's token stream
     /// (`open..=close`), `None` for bodyless declarations.
     pub body: Option<(usize, usize)>,
@@ -62,19 +50,6 @@ pub struct StructItem {
     /// `(field, normalized type)` pairs, in declaration order. Tuple and
     /// unit structs index with no fields.
     pub fields: Vec<(String, String)>,
-}
-
-/// One indexed `enum`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnumItem {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
-    /// 1-based line of the enum's name token.
-    pub line: usize,
-    /// The enum's name.
-    pub name: String,
-    /// Variant names with their `(line, col)`.
-    pub variants: Vec<(String, usize, usize)>,
 }
 
 /// One indexed `impl` header.
@@ -98,12 +73,10 @@ pub struct SymbolIndex {
     pub fns: Vec<FnItem>,
     /// Every non-test `struct`, in (file, position) order.
     pub structs: Vec<StructItem>,
-    /// Every non-test `enum`, in (file, position) order.
-    pub enums: Vec<EnumItem>,
     /// Every non-test `impl` header, in (file, position) order.
     pub impls: Vec<ImplItem>,
-    /// All identifiers each file mentions anywhere (including test spans —
-    /// equivalence tests are the point), keyed by path.
+    /// All identifiers each file mentions anywhere (including test
+    /// spans), keyed by path.
     pub file_idents: BTreeMap<String, BTreeSet<String>>,
 }
 
@@ -122,7 +95,7 @@ impl SymbolIndex {
                 tests: &tests,
                 index: &mut index,
             };
-            walker.walk(0, tokens.len(), &mut Vec::new(), None);
+            walker.walk(0, tokens.len(), None);
             let idents = tokens
                 .iter()
                 .filter_map(|t| t.ident().map(str::to_string))
@@ -171,8 +144,8 @@ struct Walker<'a> {
 
 impl Walker<'_> {
     /// Walks `tokens[start..end]` recording items, recursing into `mod`
-    /// bodies and `impl` blocks. `mods` is the enclosing module stack.
-    fn walk(&mut self, start: usize, end: usize, mods: &mut Vec<String>, imp: Option<&ImplCtx>) {
+    /// bodies and `impl` blocks.
+    fn walk(&mut self, start: usize, end: usize, imp: Option<&ImplCtx>) {
         let mut i = start;
         while i < end {
             let t = &self.tokens[i];
@@ -181,11 +154,10 @@ impl Walker<'_> {
                 continue;
             }
             match t.ident() {
-                Some("mod") => i = self.scan_mod(i, end, mods, imp),
-                Some("impl") => i = self.scan_impl(i, end, mods),
-                Some("fn") => i = self.scan_fn(i, end, mods, imp),
+                Some("mod") => i = self.scan_mod(i, end, imp),
+                Some("impl") => i = self.scan_impl(i, end),
+                Some("fn") => i = self.scan_fn(i, end, imp),
                 Some("struct") => i = self.scan_struct(i, end),
-                Some("enum") => i = self.scan_enum(i, end),
                 _ => i += 1,
             }
         }
@@ -195,32 +167,24 @@ impl Walker<'_> {
         in_spans(self.tests, line)
     }
 
-    /// `mod name { ... }` — recurses with the module pushed; `mod name;`
+    /// `mod name { ... }` — recurses into the body; `mod name;`
     /// declarations are skipped.
-    fn scan_mod(
-        &mut self,
-        i: usize,
-        end: usize,
-        mods: &mut Vec<String>,
-        imp: Option<&ImplCtx>,
-    ) -> usize {
-        let Some(name) = self.tokens.get(i + 1).and_then(|t| t.ident()) else {
+    fn scan_mod(&mut self, i: usize, end: usize, imp: Option<&ImplCtx>) -> usize {
+        if self.tokens.get(i + 1).and_then(|t| t.ident()).is_none() {
             return i + 1;
-        };
+        }
         let Some(open) = self.find_block_open(i + 2, end) else {
             return i + 2;
         };
         let Some(close) = crate::rules::brace_match(self.tokens, open) else {
             return open + 1;
         };
-        mods.push(name.to_string());
-        self.walk(open + 1, close, mods, imp);
-        mods.pop();
+        self.walk(open + 1, close, imp);
         close + 1
     }
 
     /// `impl<G> [Trait for] Type [where ...] { ... }`.
-    fn scan_impl(&mut self, i: usize, end: usize, mods: &mut Vec<String>) -> usize {
+    fn scan_impl(&mut self, i: usize, end: usize) -> usize {
         let line = self.tokens[i].line;
         let mut j = i + 1;
         if self.tokens.get(j).is_some_and(|t| t.is_punct('<')) {
@@ -290,12 +254,12 @@ impl Walker<'_> {
             type_name,
             trait_name,
         };
-        self.walk(open + 1, close, mods, Some(&ctx));
+        self.walk(open + 1, close, Some(&ctx));
         close + 1
     }
 
     /// `fn name<G>(params) -> Ret [where ...] { body }`.
-    fn scan_fn(&mut self, i: usize, end: usize, mods: &[String], imp: Option<&ImplCtx>) -> usize {
+    fn scan_fn(&mut self, i: usize, end: usize, imp: Option<&ImplCtx>) -> usize {
         let Some(name_tok) = self.tokens.get(i + 1) else {
             return i + 1;
         };
@@ -310,7 +274,6 @@ impl Walker<'_> {
             return i + 2;
         }
         // Parameter list: match parens.
-        let params_open = j;
         let mut depth = 0usize;
         let mut params_close = None;
         while j < end {
@@ -331,14 +294,12 @@ impl Walker<'_> {
         };
         // Return type runs to the body `{`, a `;`, or a `where` clause.
         let mut k = params_close + 1;
-        let mut ret_end = k;
         let mut body = None;
         let mut item_after = end;
         while k < end {
             let t = &self.tokens[k];
             if t.is_punct('<') {
                 k = self.skip_angles(k, end);
-                ret_end = k;
                 continue;
             }
             if t.is_ident("where") {
@@ -358,21 +319,13 @@ impl Walker<'_> {
                 break;
             }
             k += 1;
-            ret_end = k;
         }
         if !self.in_test(name_tok.line) {
-            let sig = self.normalize(params_open, params_close + 1)
-                + &self.normalize(params_close + 1, ret_end);
             self.index.fns.push(FnItem {
                 file: self.file.to_string(),
-                line: name_tok.line,
-                col: name_tok.col,
                 name: name.to_string(),
-                sig: sig.trim().to_string(),
-                modules: mods.to_vec(),
                 impl_type: imp.map(|c| c.type_name.clone()),
                 trait_name: imp.and_then(|c| c.trait_name.clone()),
-                is_pub: self.is_pub_before(i),
                 body,
             });
         }
@@ -474,62 +427,8 @@ impl Walker<'_> {
         }
     }
 
-    /// `enum Name<G> { Variant, Variant(..), Variant { .. } }`.
-    fn scan_enum(&mut self, i: usize, end: usize) -> usize {
-        let Some(name_tok) = self.tokens.get(i + 1) else {
-            return i + 1;
-        };
-        let Some(name) = name_tok.ident() else {
-            return i + 1;
-        };
-        let mut j = i + 2;
-        if self.tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-            j = self.skip_angles(j, end);
-        }
-        let Some(open) = self.find_block_open(j, end) else {
-            return j;
-        };
-        let close = crate::rules::brace_match(self.tokens, open).unwrap_or(end - 1);
-        let mut variants = Vec::new();
-        let mut k = open + 1;
-        while k < close {
-            let t = &self.tokens[k];
-            if t.is_punct('#') && self.tokens.get(k + 1).is_some_and(|t| t.is_punct('[')) {
-                k = crate::rules::skip_attr(self.tokens, k);
-                continue;
-            }
-            if let Some(v) = t.ident() {
-                variants.push((v.to_string(), t.line, t.col));
-                // Skip the variant's payload / discriminant to its comma.
-                let mut depth = 0i32;
-                while k < close {
-                    let t = &self.tokens[k];
-                    if t.is_punct(',') && depth == 0 {
-                        break;
-                    }
-                    if t.is_punct('(') || t.is_punct('{') || t.is_punct('[') {
-                        depth += 1;
-                    } else if t.is_punct(')') || t.is_punct('}') || t.is_punct(']') {
-                        depth -= 1;
-                    }
-                    k += 1;
-                }
-            }
-            k += 1;
-        }
-        if !self.in_test(name_tok.line) {
-            self.index.enums.push(EnumItem {
-                file: self.file.to_string(),
-                line: name_tok.line,
-                name: name.to_string(),
-                variants,
-            });
-        }
-        close + 1
-    }
-
-    /// First `{` at or after `i` (for `mod`/`enum` heads that may carry
-    /// attributes or generics in between).
+    /// First `{` at or after `i` (for `mod` heads that may carry
+    /// attributes in between).
     fn find_block_open(&self, i: usize, end: usize) -> Option<usize> {
         (i..end).find(|&k| self.tokens[k].is_punct('{'))
     }
@@ -556,30 +455,6 @@ impl Walker<'_> {
             j += 1;
         }
         j
-    }
-
-    /// Whether a visibility qualifier precedes the keyword at `i`,
-    /// scanning back over `pub(crate)`-style groups and fn qualifiers.
-    fn is_pub_before(&self, i: usize) -> bool {
-        let mut k = i;
-        while k > 0 {
-            k -= 1;
-            let t = &self.tokens[k];
-            match t.ident() {
-                Some("pub") => return true,
-                Some(
-                    "const" | "unsafe" | "async" | "extern" | "crate" | "super" | "self" | "in",
-                ) => continue,
-                Some(_) => return false,
-                None => {
-                    if t.is_punct('(') || t.is_punct(')') || matches!(t.kind, TokenKind::Str) {
-                        continue; // `pub(in path)`, `extern "C"`
-                    }
-                    return false;
-                }
-            }
-        }
-        false
     }
 
     /// Space-joined normalized token text for `tokens[start..end)`.
@@ -614,32 +489,30 @@ mod tests {
     }
 
     #[test]
-    fn indexes_fns_with_modules_and_signatures() {
+    fn indexes_fns_inside_modules_with_their_bodies() {
         let idx = SymbolIndex::from_units(&[unit(
             "crates/x/src/lib.rs",
             "pub fn ones(bytes: &[u8]) -> u32 { 0 }\n\
-             pub mod reference {\n    pub fn ones(bytes: &[u8]) -> u32 { 0 }\n}\n",
+             pub mod inner {\n    pub fn twos(bytes: &[u8]) -> u32;\n}\n",
         )]);
-        assert_eq!(idx.fns.len(), 2);
-        assert_eq!(idx.fns[0].modules, Vec::<String>::new());
-        assert_eq!(idx.fns[1].modules, vec!["reference".to_string()]);
-        assert_eq!(idx.fns[0].sig, idx.fns[1].sig);
-        assert!(idx.fns[0].is_pub && idx.fns[1].is_pub);
+        let names: Vec<&str> = idx.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["ones", "twos"]);
+        assert!(idx.fns[0].body.is_some());
+        assert!(idx.fns[1].body.is_none());
     }
 
     #[test]
-    fn signature_normalization_collapses_literals_and_whitespace() {
+    fn field_type_normalization_collapses_literals_and_whitespace() {
         let a = SymbolIndex::from_units(&[unit(
             "a.rs",
-            "fn f(x: u64, y: &str) -> Option<u64> { None }",
+            "struct S { x: [u64; 4], y: Option<&'static str> }",
         )]);
         let b = SymbolIndex::from_units(&[unit(
             "b.rs",
-            "fn f(\n    x: u64,\n    y: &str,\n) -> Option<u64> {\n    None\n}",
+            "struct S {\n    x: [u64; 8],\n    y: Option<&'a str>,\n}",
         )]);
-        // Trailing comma differs, so compare through the parameter names.
-        assert!(a.fns[0].sig.starts_with("( x : u64 , y : & str"));
-        assert!(b.fns[0].sig.starts_with("( x : u64 , y : & str"));
+        assert_eq!(a.structs[0].fields, b.structs[0].fields);
+        assert_eq!(a.structs[0].fields[0].1, "[ u64 ; N ]");
     }
 
     #[test]
@@ -669,21 +542,6 @@ mod tests {
         assert_eq!(s.fields[0], ("core_wake".to_string(), "u64".to_string()));
         assert_eq!(s.fields[2].0, "buckets");
         assert!(s.fields[2].1.contains("u64"));
-    }
-
-    #[test]
-    fn indexes_enum_variants_and_skips_payloads() {
-        let idx = SymbolIndex::from_units(&[unit(
-            "crates/x/src/lib.rs",
-            "pub enum QueueBackend {\n    Calendar,\n    Heap,\n}\n\
-             pub enum E {\n    A(u64, String),\n    B { x: u64 },\n}\n",
-        )]);
-        let q = &idx.enums[0];
-        let names: Vec<&str> = q.variants.iter().map(|v| v.0.as_str()).collect();
-        assert_eq!(names, vec!["Calendar", "Heap"]);
-        let e = &idx.enums[1];
-        let names: Vec<&str> = e.variants.iter().map(|v| v.0.as_str()).collect();
-        assert_eq!(names, vec!["A", "B"]);
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! iteration, host clock, ambient randomness or library panics) is
 //! enforced by clippy through `clippy.toml` and the workspace lint table.
 //! This crate enforces the half clippy cannot express — lossy casts in
-//! `impl Mergeable` blocks, bench-binary conformance, builder-only run
-//! configs, and the cross-crate rules — as deny-by-default rules over a
-//! hand-rolled, string/char/comment-aware Rust lexer (no `syn` — the
-//! workspace builds `--offline` with path-local dependencies only).
+//! `impl Mergeable` blocks, bench-binary conformance, and the cross-crate
+//! rules — as deny-by-default rules over a hand-rolled,
+//! string/char/comment-aware Rust lexer (no `syn` — the workspace builds
+//! `--offline` with path-local dependencies only).
 //!
 //! Analysis is two-pass ([`rules::analyze_units`]): pass 1 runs the
 //! per-file rules and builds a [`index::SymbolIndex`] over the whole
-//! corpus; pass 2 runs the cross-crate semantic rules (fast/reference
-//! twin discipline, `Mergeable` coverage, time-unit mixing, counter
-//! overflow policy) against that index.
+//! corpus; pass 2 runs the cross-crate semantic rules (`Mergeable`
+//! coverage, time-unit mixing, counter overflow policy) against that
+//! index.
 //!
 //! See DESIGN.md §11/§16 for the rule catalog, and [`rules::RULES`] for
 //! the machine-readable version.

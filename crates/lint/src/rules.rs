@@ -104,22 +104,6 @@ pub const RULES: &[RuleInfo] = &[
         scope: "crates/bench/src/bin",
     },
     RuleInfo {
-        name: "flat-options",
-        summary: "no struct-literal construction of SimConfig/ServiceConfig; \
-                  go through their builder()s",
-        scope: "everywhere except crates/sim/src/config.rs and \
-                crates/sim/src/service.rs (the builder modules); tests/ \
-                and test spans are exempt",
-    },
-    RuleInfo {
-        name: "fast-ref-twin",
-        summary: "every reference kernel (pub fn in a `reference` module, \
-                  `*_reference` fn, or designated reference variant) needs \
-                  a same-signature fast twin and an equivalence test",
-        scope: "crates/*/src (cross-crate, via the symbol index); \
-                equivalence proofs live in tests/*equivalence*.rs",
-    },
-    RuleInfo {
         name: "mergeable-coverage",
         summary: "every *Stats/*Counts struct must impl Mergeable and be \
                   folded into RunResult or a shard-fold path",
@@ -146,13 +130,6 @@ const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
 
 /// Where the bench-binary conformance rule applies.
 const BENCH_BIN_SCOPE: &str = "crates/bench/src/bin/";
-
-/// The builder modules — the only places allowed to write the run-config
-/// struct literals that `flat-options` forbids everywhere else.
-const FLAT_OPTIONS_ALLOW: &[&str] = &["crates/sim/src/config.rs", "crates/sim/src/service.rs"];
-
-/// Run-config types that must be constructed through the builder.
-const FLAT_OPTIONS_TYPES: &[&str] = &["SimConfig", "ServiceConfig"];
 
 /// An inclusive line range.
 #[derive(Debug, Clone, Copy)]
@@ -237,9 +214,6 @@ pub fn analyze_units(units: &[SourceUnit]) -> AnalysisReport {
         let t0 = stat_clock();
         check_bench_flags(path, tokens, &mut out);
         timer.add("bench-flags", t0);
-        let t0 = stat_clock();
-        check_flat_options(path, tokens, tests, &mut out);
-        timer.add("flat-options", t0);
     }
 
     // Pass 1b: the symbol index.
@@ -252,9 +226,6 @@ pub fn analyze_units(units: &[SourceUnit]) -> AnalysisReport {
     timer.add("symbol-index", t0);
 
     // Pass 2: cross-crate semantic rules.
-    let t0 = stat_clock();
-    semantic::check_fast_ref_twin(&index, &mut out);
-    timer.add("fast-ref-twin", t0);
     let t0 = stat_clock();
     semantic::check_mergeable_coverage(&index, &mut out);
     timer.add("mergeable-coverage", t0);
@@ -514,42 +485,6 @@ fn check_bench_flags(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) 
     }
 }
 
-fn check_flat_options(path: &str, tokens: &[Token], tests: &[Span], findings: &mut Vec<Finding>) {
-    let in_tests_dir = path.starts_with("tests/") || path.contains("/tests/");
-    if FLAT_OPTIONS_ALLOW.contains(&path) || in_tests_dir {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        if !FLAT_OPTIONS_TYPES.contains(&name)
-            || in_spans(tests, t.line)
-            || !tokens.get(i + 1).is_some_and(|t| t.is_punct('{'))
-        {
-            continue;
-        }
-        // `struct SimConfig {`, `impl SimConfig {`, `impl T for SimConfig {`
-        // and `-> SimConfig {` are declarations or return types, not
-        // literals.
-        let declares = i > 0
-            && (tokens[i - 1].is_punct('>')
-                || ["struct", "impl", "for", "enum"]
-                    .iter()
-                    .any(|kw| tokens[i - 1].is_ident(kw)));
-        if !declares {
-            push(
-                findings,
-                "flat-options",
-                path,
-                t,
-                format!(
-                    "`{name} {{ .. }}` struct literal bypasses the builder; \
-                     construct run configs with `SimConfig::builder()`"
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,7 +495,8 @@ mod tests {
 
     #[test]
     fn cfg_test_mod_is_exempt() {
-        let src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g(x: u64) -> u32 { x as u32 }\n    fn h() { let _ = SimConfig { trace: true }; }\n}\n";
+        let src =
+            "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g(x: u64) -> u32 { x as u32 }\n}\n";
         assert!(rules_fired("crates/trace/src/x.rs", src).is_empty());
     }
 
@@ -604,37 +540,6 @@ mod tests {
         let fired = analyze("crates/bench/src/bin/x.rs", no_parser);
         assert_eq!(fired.len(), 3, "{fired:?}");
         assert!(fired.iter().all(|f| f.message.contains("BenchArgs")));
-    }
-
-    #[test]
-    fn flat_options_forbids_literals_outside_the_builder_module() {
-        let literal = "pub fn f() -> SimConfig {\n    SimConfig { trace: true }\n}\n";
-        assert_eq!(
-            rules_fired("crates/sim/src/runner.rs", literal),
-            vec!["flat-options"]
-        );
-        assert_eq!(
-            rules_fired("crates/bench/src/lib.rs", literal),
-            vec!["flat-options"]
-        );
-        // The builder modules themselves and integration tests are exempt.
-        assert!(rules_fired("crates/sim/src/config.rs", literal).is_empty());
-        assert!(rules_fired("crates/sim/src/service.rs", literal).is_empty());
-        assert!(rules_fired("tests/golden_trace.rs", literal).is_empty());
-    }
-
-    #[test]
-    fn flat_options_skips_declarations_and_builder_calls() {
-        let decls = "pub struct SimConfig { pub trace: bool }\nimpl SimConfig {\n    fn f() {}\n}\nimpl Default for ServiceConfig {\n    fn default() -> Self { Self::new() }\n}\n";
-        assert!(rules_fired("crates/sim/src/runner.rs", decls).is_empty());
-        let builder =
-            "pub fn f() -> SimConfig {\n    SimConfig::builder().trace(true).build()\n}\n";
-        assert!(rules_fired("crates/sim/src/runner.rs", builder).is_empty());
-        let service = "fn g() {\n    let o = ServiceConfig { load: 4.0 };\n}\n";
-        assert_eq!(
-            rules_fired("crates/memctrl/src/lib.rs", service),
-            vec!["flat-options"]
-        );
     }
 
     #[test]

@@ -4,12 +4,6 @@
 //! built over the whole corpus, so they can enforce disciplines no
 //! single-file scan can see:
 //!
-//! * **fast-ref-twin** — every reference kernel (a `pub fn` in a
-//!   `reference` module, a `*_reference`-suffixed `pub fn`, or a
-//!   designated reference enum variant such as `QueueBackend::Heap`)
-//!   must have a same-signature fast twin *and* be exercised by an
-//!   equivalence test (`tests/*equivalence*.rs`). A fast kernel whose
-//!   reference twin or proof vanishes is a finding (DESIGN §15).
 //! * **mergeable-coverage** — every `*Stats`/`*Counts` struct in the
 //!   fold-scope crates must `impl Mergeable` and be folded into
 //!   `RunResult` or a shard-fold path, so no counter silently drops out
@@ -23,14 +17,9 @@
 //!   counter fields are findings: fold paths accumulate across shards
 //!   and must saturate (or check) rather than wrap.
 
-use crate::index::{FnItem, SymbolIndex};
+use crate::index::SymbolIndex;
 use crate::lexer::{Token, TokenKind};
 use crate::rules::{in_spans, FileUnit, Finding};
-
-/// Enum variants that are reference implementations by designation: the
-/// fast twin is a sibling variant, so only the equivalence-test proof is
-/// checked.
-const REFERENCE_VARIANTS: &[(&str, &str)] = &[("QueueBackend", "Heap")];
 
 /// Crates whose `*Stats`/`*Counts` structs must participate in the
 /// Mergeable fold (the `mergeable-coverage` scope).
@@ -68,103 +57,6 @@ fn is_test_path(path: &str) -> bool {
         || path.contains("/tests/")
         || path.starts_with("benches/")
         || path.contains("/benches/")
-}
-
-fn is_equivalence_test_path(path: &str) -> bool {
-    let file = path.rsplit('/').next().unwrap_or(path);
-    (path.starts_with("tests/") || path.contains("/tests/")) && file.contains("equivalence")
-}
-
-/// Whether this indexed fn is itself a reference implementation.
-fn is_reference_fn(f: &FnItem) -> bool {
-    f.modules.iter().any(|m| m == "reference") || f.name.ends_with("_reference")
-}
-
-// ---------------------------------------------------------------------------
-// fast-ref-twin
-// ---------------------------------------------------------------------------
-
-/// Every reference kernel needs a same-signature fast twin and an
-/// equivalence test that mentions it. At most one finding per kernel:
-/// the missing twin is reported first (without a twin the test question
-/// is moot).
-pub(crate) fn check_fast_ref_twin(index: &SymbolIndex, findings: &mut Vec<Finding>) {
-    let equivalence_mentions = |name: &str| {
-        index
-            .file_idents
-            .iter()
-            .any(|(path, idents)| is_equivalence_test_path(path) && idents.contains(name))
-    };
-
-    for f in &index.fns {
-        if is_test_path(&f.file) || !f.is_pub || !is_reference_fn(f) {
-            continue;
-        }
-        let base = f.name.strip_suffix("_reference").unwrap_or(&f.name);
-        let has_twin = index.fns.iter().any(|g| {
-            !std::ptr::eq(f, g)
-                && !is_reference_fn(g)
-                && !is_test_path(&g.file)
-                && g.name == base
-                && g.sig == f.sig
-        });
-        if !has_twin {
-            findings.push(Finding {
-                rule: "fast-ref-twin",
-                path: f.file.clone(),
-                line: f.line,
-                col: f.col,
-                message: format!(
-                    "reference kernel `{}` has no same-signature fast twin \
-                     `{base}`; every reference implementation pairs with a \
-                     fast path (DESIGN §15)",
-                    f.name
-                ),
-            });
-        } else if !equivalence_mentions(&f.name) {
-            findings.push(Finding {
-                rule: "fast-ref-twin",
-                path: f.file.clone(),
-                line: f.line,
-                col: f.col,
-                message: format!(
-                    "reference kernel `{}` is not referenced from any \
-                     equivalence test (tests/*equivalence*.rs); the fast \
-                     twin `{base}` is unproven without it",
-                    f.name
-                ),
-            });
-        }
-    }
-
-    for (enum_name, variant) in REFERENCE_VARIANTS {
-        for e in &index.enums {
-            if e.name != *enum_name || is_test_path(&e.file) {
-                continue;
-            }
-            let Some((_, line, col)) = e.variants.iter().find(|v| v.0 == *variant) else {
-                continue;
-            };
-            let proven = index.file_idents.iter().any(|(path, idents)| {
-                is_equivalence_test_path(path)
-                    && idents.contains(*enum_name)
-                    && idents.contains(*variant)
-            });
-            if !proven {
-                findings.push(Finding {
-                    rule: "fast-ref-twin",
-                    path: e.file.clone(),
-                    line: *line,
-                    col: *col,
-                    message: format!(
-                        "reference backend `{enum_name}::{variant}` is not \
-                         referenced from any equivalence test \
-                         (tests/*equivalence*.rs)"
-                    ),
-                });
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -449,8 +341,6 @@ fn self_field_before<'a>(tokens: &[Token], op: usize, counters: &[&'a str]) -> O
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::index::SymbolIndex;
     use crate::rules::{analyze_units, SourceUnit};
 
     fn unit(path: &str, src: &str) -> SourceUnit {
@@ -466,61 +356,6 @@ mod tests {
             .into_iter()
             .map(|f| f.rule)
             .collect()
-    }
-
-    const KERNEL: &str = "pub fn frob(x: u64) -> u64 { x }\n\
-                          pub mod reference {\n    pub fn frob(x: u64) -> u64 { x }\n}\n";
-
-    #[test]
-    fn fast_ref_twin_wants_twin_and_equivalence_proof() {
-        // Twin + proof: clean.
-        let proof = unit(
-            "tests/kernels_equivalence.rs",
-            "#[test]\nfn agree() { assert_eq!(frob(1), reference::frob(1)); }\n",
-        );
-        let clean = [unit("crates/reram/src/kern.rs", KERNEL), proof.clone()];
-        assert!(rules_fired(&clean).is_empty());
-
-        // No proof: one finding.
-        let unproven = [unit("crates/reram/src/kern.rs", KERNEL)];
-        assert_eq!(rules_fired(&unproven), vec!["fast-ref-twin"]);
-
-        // No twin (signature drifted): one finding, even with the proof.
-        let drifted = "pub fn frob(x: u32) -> u32 { x }\n\
-                       pub mod reference {\n    pub fn frob(x: u64) -> u64 { x }\n}\n";
-        let bad = [unit("crates/reram/src/kern.rs", drifted), proof];
-        assert_eq!(rules_fired(&bad), vec!["fast-ref-twin"]);
-    }
-
-    #[test]
-    fn suffixed_reference_fn_twins_by_base_name() {
-        let src = "impl T {\n\
-                   pub fn lookup_ps(&self, wl: usize) -> u64 { 0 }\n\
-                   pub fn lookup_ps_reference(&self, wl: usize) -> u64 { 0 }\n\
-                   }\n";
-        let proof = unit(
-            "tests/hotloop_equivalence.rs",
-            "#[test]\nfn t() { lookup_ps_reference(); }\n",
-        );
-        assert!(rules_fired(&[unit("crates/xbar/src/table.rs", src), proof]).is_empty());
-        assert_eq!(
-            rules_fired(&[unit("crates/xbar/src/table.rs", src)]),
-            vec!["fast-ref-twin"]
-        );
-    }
-
-    #[test]
-    fn reference_variant_needs_equivalence_mention() {
-        let src = "pub enum QueueBackend { Calendar, Heap }\n";
-        assert_eq!(
-            rules_fired(&[unit("crates/reram/src/time.rs", src)]),
-            vec!["fast-ref-twin"]
-        );
-        let proof = unit(
-            "tests/hotloop_equivalence.rs",
-            "#[test]\nfn t() { let _ = QueueBackend::Heap; }\n",
-        );
-        assert!(rules_fired(&[unit("crates/reram/src/time.rs", src), proof]).is_empty());
     }
 
     #[test]
@@ -618,21 +453,5 @@ mod tests {
         // `wall: Duration` is not an integer counter; `max` is fine.
         // (mergeable-coverage is quiet: memctrl is outside its scope.)
         assert!(rules_fired(&[unit("crates/memctrl/src/span.rs", src)]).is_empty());
-    }
-
-    #[test]
-    fn index_twin_lookup_sees_across_files() {
-        let index = SymbolIndex::from_units(&[
-            unit(
-                "crates/a/src/lib.rs",
-                "pub mod reference { pub fn ham(x: u8) -> u8 { x } }",
-            ),
-            unit("crates/b/src/lib.rs", "pub fn ham(x: u8) -> u8 { x }"),
-        ]);
-        let mut findings = Vec::new();
-        check_fast_ref_twin(&index, &mut findings);
-        // Twin found across crates; only the missing equivalence proof fires.
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("equivalence"));
     }
 }

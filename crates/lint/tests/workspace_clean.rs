@@ -1,10 +1,9 @@
 //! The live workspace must be lint-clean: zero findings across every
 //! source file and every rule — including the cross-crate semantic pass
-//! (fast/reference twins, Mergeable coverage, unit mixing, counter
-//! overflow policy). This is the same gate
-//! `scripts/verify.sh` enforces via the CLI; running it as a test keeps
-//! `cargo test` sufficient to catch a violation without the full verify
-//! pipeline.
+//! (Mergeable coverage, unit mixing, counter overflow policy). This is the
+//! same gate `scripts/verify.sh` enforces via the CLI; running it as a
+//! test keeps `cargo test` sufficient to catch a violation without the
+//! full verify pipeline.
 
 #![expect(
     clippy::expect_used,

@@ -18,9 +18,12 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// ps (about 213 simulated days) instead of wrapping, identically in
 /// debug and release builds. No run comes near that bound; a span that
 /// reaches it stays pinned at the maximum rather than wrapping to a short
-/// one. Subtraction is not saturating: `a - b` with `b > a` is a caller
-/// bug (debug builds panic); use [`Picos::saturating_sub`] where an
-/// underflow is expected.
+/// one.
+///
+/// Subtraction is checked, not saturating: `a - b` and `a -= b` with
+/// `b > a` are caller bugs and panic in debug and release builds alike,
+/// rather than wrapping to a span of about 213 days. Use
+/// [`Picos::saturating_sub`] where an underflow is expected.
 ///
 /// # Examples
 ///
@@ -85,13 +88,14 @@ impl AddAssign for Picos {
 impl Sub for Picos {
     type Output = Picos;
     fn sub(self, rhs: Picos) -> Picos {
+        assert!(rhs.0 <= self.0, "Picos subtraction underflows");
         Picos(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Picos {
     fn sub_assign(&mut self, rhs: Picos) {
-        self.0 -= rhs.0;
+        *self = *self - rhs;
     }
 }
 
@@ -129,6 +133,8 @@ impl fmt::Display for Picos {
 /// release builds alike, following the [`Picos`] policy: an event
 /// scheduled past the end of time lands at the last instant instead of
 /// wrapping to an early one, which would reorder the event queue.
+/// [`Instant::duration_since`] panics, in every build profile, when
+/// given an instant later than `self`, like [`Picos`] subtraction.
 ///
 /// # Examples
 ///
@@ -160,9 +166,10 @@ impl Instant {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `earlier` is later than `self`.
+    /// Panics if `earlier` is later than `self`, in debug and release
+    /// builds alike.
     pub fn duration_since(self, earlier: Instant) -> Picos {
-        debug_assert!(earlier.0 <= self.0, "duration_since of a later instant");
+        assert!(earlier.0 <= self.0, "duration_since of a later instant");
         Picos(self.0 - earlier.0)
     }
 
@@ -191,33 +198,23 @@ impl fmt::Display for Instant {
     }
 }
 
-/// Which data structure backs an [`EventQueue`].
+/// Which queue backs an [`EventQueue`]: the binary heap is the only one.
 ///
-/// Both backends pop events in exactly the same order — ascending
-/// `(Instant, sequence)` — so a simulation is bit-identical under either.
-/// [`QueueBackend::Heap`] is the default and what every run uses unless
-/// a caller asks otherwise. [`QueueBackend::Calendar`] is selectable only
-/// explicitly: on the kernel's sparse near-future schedules most of its
-/// day buckets are empty, so it is slower than the heap. The differential
-/// tests pin its pop order to the heap's.
+/// Kept only so that perfbench's queue replay compiles; the next benchmark change deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueBackend {
-    /// Hierarchical calendar/bucket queue (explicit opt-in).
-    Calendar,
-    /// Plain binary min-heap (default).
+    /// Plain binary min-heap.
     #[default]
     Heap,
 }
 
 /// A deterministic discrete-event queue of `(Instant, K)` entries with
-/// stable FIFO tie-breaking.
+/// stable FIFO tie-breaking, backed by a binary min-heap.
 ///
 /// Events scheduled for the same instant pop in the order they were
 /// scheduled (each entry carries a monotonically increasing sequence
 /// number), so a simulation driven by an `EventQueue` is reproducible
-/// bit-for-bit regardless of queue internals. [`EventQueue::new`] builds
-/// the binary heap; [`EventQueue::with_backend`] can choose another
-/// [`QueueBackend`].
+/// bit-for-bit.
 ///
 /// # Examples
 ///
@@ -235,14 +232,8 @@ pub enum QueueBackend {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<K> {
-    inner: Inner<K>,
+    heap: BinaryHeap<Scheduled<K>>,
     seq: u64,
-}
-
-#[derive(Debug)]
-enum Inner<K> {
-    Heap(BinaryHeap<Scheduled<K>>),
-    Calendar(Calendar<K>),
 }
 
 #[derive(Debug)]
@@ -282,214 +273,56 @@ impl<K> Default for EventQueue<K> {
 }
 
 impl<K> EventQueue<K> {
-    /// An empty queue on the default (binary heap) backend.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// An empty queue on an explicitly chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let inner = match backend {
-            QueueBackend::Heap => Inner::Heap(BinaryHeap::new()),
-            QueueBackend::Calendar => Inner::Calendar(Calendar::new()),
-        };
-        Self { inner, seq: 0 }
-    }
-
-    /// The backend this queue was constructed with.
-    pub fn backend(&self) -> QueueBackend {
-        match self.inner {
-            Inner::Heap(_) => QueueBackend::Heap,
-            Inner::Calendar(_) => QueueBackend::Calendar,
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
         }
+    }
+
+    /// Same as [`EventQueue::new`].
+    ///
+    /// Kept only so that perfbench's queue replay compiles; the next benchmark change deletes it.
+    pub fn with_backend(_backend: QueueBackend) -> Self {
+        Self::new()
     }
 
     /// Schedules `kind` to fire at `at`.
     pub fn schedule(&mut self, at: Instant, kind: K) {
-        let s = Scheduled {
+        self.heap.push(Scheduled {
             at,
             seq: self.seq,
             kind,
-        };
-        match &mut self.inner {
-            Inner::Heap(h) => h.push(s),
-            Inner::Calendar(c) => c.push(s),
-        }
+        });
         self.seq += 1;
     }
 
     /// Removes and returns the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(Instant, K)> {
-        let s = match &mut self.inner {
-            Inner::Heap(h) => h.pop(),
-            Inner::Calendar(c) => c.pop(),
-        };
-        s.map(|s| (s.at, s.kind))
+        self.heap.pop().map(|s| (s.at, s.kind))
     }
 
     /// The instant of the earliest scheduled event.
     pub fn peek_time(&self) -> Option<Instant> {
-        match &self.inner {
-            Inner::Heap(h) => h.peek().map(|s| s.at),
-            Inner::Calendar(c) => c.peek().map(|s| s.at),
-        }
+        self.heap.peek().map(|s| s.at)
     }
 
     /// Number of events currently scheduled.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(h) => h.len(),
-            Inner::Calendar(c) => c.len,
-        }
+        self.heap.len()
     }
 
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A hierarchical calendar (bucket) queue: events hash into `buckets.len()`
-/// day buckets by `(at >> shift) % buckets.len()`, and a day cursor scans
-/// forward from the last popped day. Each bucket is itself a small binary
-/// heap (the "hierarchical" part), so a degenerate schedule that lands
-/// everything in one bucket gracefully decays to the plain heap instead of
-/// to a linked-list scan.
-///
-/// The bucket count and day width resize deterministically from the live
-/// event count and span, so pop/push are O(1) amortized on dense, deep
-/// schedules (several events per day), while the pop *order* — ascending
-/// `(at, seq)` — stays exactly that of the default heap.
-#[derive(Debug)]
-struct Calendar<K> {
-    buckets: Vec<BinaryHeap<Scheduled<K>>>,
-    /// log2 of the day width in picoseconds.
-    shift: u32,
-    /// Lower bound on the day index of every resident event.
-    cur_day: u64,
-    len: usize,
-}
-
-/// Initial (and minimum) bucket count; always a power of two.
-const CAL_MIN_BUCKETS: usize = 16;
-/// Maximum bucket count.
-const CAL_MAX_BUCKETS: usize = 1 << 15;
-/// Initial day width: 2^10 ps ≈ 1 ns.
-const CAL_INIT_SHIFT: u32 = 10;
-/// Maximum day width: 2^40 ps ≈ 1.1 ms.
-const CAL_MAX_SHIFT: u32 = 40;
-
-impl<K> Calendar<K> {
-    fn new() -> Self {
-        Self {
-            buckets: (0..CAL_MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            shift: CAL_INIT_SHIFT,
-            cur_day: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn day_of(&self, at: Instant) -> u64 {
-        at.as_ps() >> self.shift
-    }
-
-    fn push(&mut self, s: Scheduled<K>) {
-        let day = self.day_of(s.at);
-        if self.len == 0 || day < self.cur_day {
-            self.cur_day = day;
-        }
-        let mask = self.buckets.len() as u64 - 1;
-        self.buckets[(day & mask) as usize].push(s);
-        self.len += 1;
-        if self.len > self.buckets.len() * 4 && self.buckets.len() < CAL_MAX_BUCKETS {
-            self.resize();
-        }
-    }
-
-    /// Index of the bucket holding the globally earliest event.
-    ///
-    /// Scans one calendar year (every bucket once) from the day cursor; a
-    /// bucket's heap top belongs to the scanned day iff that day is the
-    /// earliest populated one, because all resident days are ≥ `cur_day`
-    /// and days congruent modulo the bucket count differ by a full year.
-    /// If the year is empty (sparse far-future schedule), falls back to a
-    /// direct min search over the bucket tops.
-    fn find_min_bucket(&self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len() as u64;
-        let mask = nb - 1;
-        for day in self.cur_day..self.cur_day + nb {
-            let b = (day & mask) as usize;
-            if let Some(top) = self.buckets[b].peek() {
-                if self.day_of(top.at) == day {
-                    return Some(b);
-                }
-            }
-        }
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, h)| h.peek().map(|top| (b, top)))
-            .min_by_key(|&(_, top)| (top.at, top.seq))
-            .map(|(b, _)| b)
-    }
-
-    fn peek(&self) -> Option<&Scheduled<K>> {
-        self.find_min_bucket().and_then(|b| self.buckets[b].peek())
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<K>> {
-        let b = self.find_min_bucket()?;
-        let s = self.buckets[b].pop()?;
-        self.cur_day = self.day_of(s.at);
-        self.len -= 1;
-        if self.buckets.len() > CAL_MIN_BUCKETS && self.len < self.buckets.len() / 4 {
-            self.resize();
-        }
-        Some(s)
-    }
-
-    /// Rebuilds the calendar around the current population: bucket count ~
-    /// the live event count, day width ~ one event per day over the live
-    /// span. Purely a function of resident `(at, seq)` pairs, so resizing
-    /// is deterministic.
-    fn resize(&mut self) {
-        let mut items: Vec<Scheduled<K>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            items.extend(b.drain());
-        }
-        let nb = items
-            .len()
-            .next_power_of_two()
-            .clamp(CAL_MIN_BUCKETS, CAL_MAX_BUCKETS);
-        self.buckets = (0..nb).map(|_| BinaryHeap::new()).collect();
-        if items.is_empty() {
-            self.shift = CAL_INIT_SHIFT;
-            self.cur_day = 0;
-            self.len = 0;
-            return;
-        }
-        let (lo, hi) = items.iter().fold((u64::MAX, 0u64), |(lo, hi), s| {
-            (lo.min(s.at.as_ps()), hi.max(s.at.as_ps()))
-        });
-        let width = ((hi - lo) / items.len() as u64).max(1);
-        self.shift = (63 - width.leading_zeros()).min(CAL_MAX_SHIFT);
-        self.cur_day = lo >> self.shift;
-        self.len = items.len();
-        let mask = nb as u64 - 1;
-        for s in items {
-            let day = s.at.as_ps() >> self.shift;
-            self.buckets[(day & mask) as usize].push(s);
-        }
+        self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ns_conversion_rounds_up() {
@@ -532,6 +365,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "subtraction underflows")]
+    fn picos_subtraction_underflow_panics_in_every_profile() {
+        let _ = Picos::from_ps(1) - Picos::from_ps(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "subtraction underflows")]
+    fn picos_sub_assign_underflow_panics_in_every_profile() {
+        let mut p = Picos::ZERO;
+        p -= Picos::from_ps(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "later instant")]
+    fn duration_since_a_later_instant_panics_in_every_profile() {
+        let _ = Instant::from_ps(5).duration_since(Instant::from_ps(6));
+    }
+
+    #[test]
     fn additive_growth_saturates_at_the_end_of_time() {
         let max = Picos::from_ps(u64::MAX);
         let one = Picos::from_ps(1);
@@ -550,17 +402,6 @@ mod tests {
         // Below the bound the arithmetic is exact.
         assert_eq!((max - one) + one, max);
         assert_eq!(Instant::from_ps(u64::MAX - 3) + Picos::from_ps(3), end);
-    }
-
-    #[test]
-    fn heap_is_the_default_backend() {
-        assert_eq!(QueueBackend::default(), QueueBackend::Heap);
-        assert_eq!(EventQueue::<()>::new().backend(), QueueBackend::Heap);
-        assert_eq!(EventQueue::<()>::default().backend(), QueueBackend::Heap);
-        assert_eq!(
-            EventQueue::<()>::with_backend(QueueBackend::Calendar).backend(),
-            QueueBackend::Calendar
-        );
     }
 
     #[test]
@@ -608,5 +449,23 @@ mod tests {
         assert!(popped[..16]
             .iter()
             .all(|(at, _)| *at == Instant::from_ps(40)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn event_queue_is_fifo_at_equal_times(
+            n in 1usize..64,
+            at in 0u64..1_000_000,
+        ) {
+            let mut q = EventQueue::new();
+            for i in 0..n {
+                q.schedule(Instant::from_ps(at), i);
+            }
+            for i in 0..n {
+                prop_assert_eq!(q.pop(), Some((Instant::from_ps(at), i)));
+            }
+        }
     }
 }

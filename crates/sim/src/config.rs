@@ -10,10 +10,9 @@
 //! driven by caller-supplied traces go through [`run_traces`]. All three
 //! assemble their system in the same place.
 //!
-//! Construction goes through [`SimConfig::builder`] — the struct is
-//! `#[non_exhaustive]`, so new knobs can be added without breaking
-//! callers, and the `flat-options` lint keeps struct literals out of the
-//! rest of the workspace.
+//! Construction goes through [`SimConfig::builder`]: the struct carries a
+//! private field, so no module but this one can write a struct literal,
+//! and new knobs can be added without breaking callers.
 
 use crate::experiments::{shard_trace_for, ExperimentConfig, Workload};
 use crate::scheme::Scheme;
@@ -44,8 +43,23 @@ use ladder_wear::{HotPageRemapper, RemapKind, SegmentVwl, StartGap, WearLeveler}
 ///     .build();
 /// assert_eq!(cfg.topology.unwrap().channels, 4);
 /// ```
-#[non_exhaustive]
+///
+/// A struct literal, even one that fills the rest from a built config, does
+/// not compile outside this module:
+///
+/// ```compile_fail
+/// use ladder_sim::SimConfig;
+///
+/// let cfg = SimConfig {
+///     trace: true,
+///     ..SimConfig::builder().build()
+/// };
+/// ```
 #[derive(Debug, Clone, Copy)]
+#[expect(
+    clippy::manual_non_exhaustive,
+    reason = "the private field also rejects struct literals in the rest of this crate"
+)]
 pub struct SimConfig {
     /// The write scheme under test.
     pub scheme: Scheme,
@@ -85,10 +99,9 @@ pub struct SimConfig {
     /// byte-identical to runs predating this knob. Only meaningful when
     /// `faults` is set.
     pub remap: RemapKind,
-    /// Event-queue backend driving the kernel (default:
-    /// [`QueueBackend::Heap`]). Both backends pop in the same
-    /// deterministic order, so results are bit-identical either way;
-    /// [`QueueBackend::Calendar`] runs only when asked for.
+    /// Event-queue backend; the binary heap is the only one.
+    ///
+    /// Kept only so that perfbench's queue replay compiles; the next benchmark change deletes it.
     pub queue: QueueBackend,
     /// Capture a structured trace ([`RunResult::trace`]).
     pub trace: bool,
@@ -98,6 +111,8 @@ pub struct SimConfig {
     /// unused. `None` is the legacy closed-loop path, byte-compatible
     /// with the golden digests.
     pub service: Option<ServiceConfig>,
+    /// Keeps struct literals out of every module but this one.
+    _private: (),
 }
 
 impl SimConfig {
@@ -122,6 +137,7 @@ impl SimConfig {
                 queue: QueueBackend::Heap,
                 trace: false,
                 service: None,
+                _private: (),
             },
         }
     }
@@ -236,12 +252,6 @@ impl SimConfigBuilder {
     /// legacy one-way retirement pool).
     pub fn remap(mut self, kind: RemapKind) -> Self {
         self.cfg.remap = kind;
-        self
-    }
-
-    /// Selects the kernel event-queue backend (default: the binary heap).
-    pub fn queue(mut self, backend: QueueBackend) -> Self {
-        self.cfg.queue = backend;
         self
     }
 
@@ -417,7 +427,6 @@ mod tests {
             .faults(FaultConfig::with_ber(7, 1e-5))
             .coding(CodingKind::TieredBch)
             .remap(RemapKind::Pad)
-            .queue(QueueBackend::Calendar)
             .trace(true)
             .service(ServiceConfig::builder().load(6.0).build())
             .build();
@@ -431,7 +440,6 @@ mod tests {
         assert!(cfg.faults.is_some());
         assert_eq!(cfg.coding, CodingKind::TieredBch);
         assert_eq!(cfg.remap, RemapKind::Pad);
-        assert_eq!(cfg.queue, QueueBackend::Calendar);
         assert_eq!(cfg.service.unwrap().load, 6.0);
     }
 

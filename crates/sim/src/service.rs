@@ -65,11 +65,15 @@ impl FromStr for ArrivalKind {
 
 /// Offered-traffic description of one open-loop service run.
 ///
-/// Construct via [`ServiceConfig::builder`]; the struct is
-/// `#[non_exhaustive]` so new knobs can ride along without breaking
-/// callers (same contract as `SimConfig`).
-#[non_exhaustive]
+/// Construct via [`ServiceConfig::builder`]; the struct carries a private
+/// field, so no module but this one can write a struct literal, and new
+/// knobs can ride along without breaking callers (same contract as
+/// `SimConfig`).
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[expect(
+    clippy::manual_non_exhaustive,
+    reason = "the private field also rejects struct literals in the rest of this crate"
+)]
 pub struct ServiceConfig {
     /// Arrival process shape.
     pub arrival: ArrivalKind,
@@ -84,6 +88,8 @@ pub struct ServiceConfig {
     pub read_fraction: f64,
     /// Requests per run (per shard when sharded).
     pub requests: u64,
+    /// Keeps struct literals out of every module but this one.
+    _private: (),
 }
 
 impl ServiceConfig {
@@ -98,6 +104,7 @@ impl ServiceConfig {
                 zipf_theta: 0.99,
                 read_fraction: 0.9,
                 requests: 50_000,
+                _private: (),
             },
         }
     }

@@ -325,7 +325,7 @@ pub(crate) fn simulate(
         pending_reads: IdMap::new(),
         pending_migrations: VecDeque::new(),
         core_finish: vec![None; cores.len()],
-        events: EventQueue::with_backend(cfg.queue),
+        events: EventQueue::new(),
         core_wake: vec![None; cores.len()],
         waiting: vec![false; cores.len()],
         last_process: None,

@@ -304,9 +304,9 @@ impl TimingTable {
     /// `lookup_ps(wl, bl, usize::MAX)`.
     ///
     /// This is the hot path of every simulated write: three precomputed
-    /// band-LUT reads and one flat row-major index — no divisions. It is
-    /// bit-identical to [`TimingTable::lookup_ps_reference`], the legacy
-    /// nested-division formulation kept as the reference implementation.
+    /// band-LUT reads and one flat row-major index — no divisions. The
+    /// tests prove it bit-identical to a private, test-only oracle: the
+    /// legacy nested-division formulation.
     ///
     /// # Panics
     ///
@@ -322,15 +322,12 @@ impl TimingTable {
         self.entries[(c_band * self.bands + wl_band) * self.bands + bl_band] as u64
     }
 
-    /// Reference implementation of [`TimingTable::lookup_ps`]: the original
-    /// per-call band arithmetic (three integer divisions). Kept so property
-    /// tests and the `hotloop` bench can prove the quantized fast path
-    /// returns bit-identical latencies for every `⟨WL, BL, C_lrs⟩` cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wl` or `bl` is out of bounds.
-    pub fn lookup_ps_reference(&self, wl: usize, bl: usize, c_lrs: usize) -> u64 {
+    /// Test oracle for [`TimingTable::lookup_ps`]: the original per-call
+    /// band arithmetic (three integer divisions), against which the tests
+    /// prove the quantized fast path bit-identical for every
+    /// `⟨WL, BL, C_lrs⟩` cell.
+    #[cfg(test)]
+    fn lookup_ps_reference(&self, wl: usize, bl: usize, c_lrs: usize) -> u64 {
         assert!(wl < self.rows, "wordline {wl} out of bounds");
         assert!(bl < self.cols, "bitline {bl} out of bounds");
         let content_len = match self.content_axis {
@@ -537,9 +534,32 @@ pub fn latency_vs_wl_content(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn default_table() -> TimingTable {
         TimingTable::generate(&TableConfig::ladder_default()).expect("generate")
+    }
+
+    /// The default LADDER table, generated once per process (generating it
+    /// per proptest case would dominate the suite's runtime).
+    fn shared_table() -> &'static TimingTable {
+        use std::sync::OnceLock;
+        static TABLE: OnceLock<TimingTable> = OnceLock::new();
+        TABLE.get_or_init(default_table)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn quantized_table_lookup_matches_reference(
+            wl in 0usize..512,
+            bl in 0usize..512,
+            c in prop_oneof![Just(0usize), 0usize..=512, Just(usize::MAX)],
+        ) {
+            let t = shared_table();
+            prop_assert_eq!(t.lookup_ps(wl, bl, c), t.lookup_ps_reference(wl, bl, c));
+        }
     }
 
     #[test]

@@ -21,10 +21,10 @@ doc:
 # Project-invariant static analysis. The generic rules (hash-iter,
 # wall-clock, ambient-rng, panic-policy) are clippy lints, checked
 # against their fixture corpus; ladder-lint runs the domain rules
-# (lossy-cast, bench-flags, flat-options) and the cross-crate pass
-# (fast/reference twins, Mergeable coverage, time-unit mixing, counter
-# overflow policy). `--json`, `--sarif`, `--stats` and `--list-rules` are
-# also available on the binary; see DESIGN.md §11 and §16.
+# (lossy-cast, bench-flags) and the cross-crate pass (Mergeable
+# coverage, time-unit mixing, counter overflow policy). `--json`,
+# `--sarif`, `--stats` and `--list-rules` are also available on the
+# binary; see DESIGN.md §11 and §16.
 lint:
     ./scripts/clippy-fixtures.sh
     cargo run --release -q -p ladder-lint --offline -- --root .
@@ -82,7 +82,7 @@ smoke:
     cargo build --release --examples --offline
     for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
                ablations crash mna_table extension faults interleave service \
-               lifetime_campaign hotloop; do \
+               lifetime_campaign; do \
         echo "-> $bin"; \
         ./target/release/$bin --quick --jobs 2 >/dev/null; \
     done
@@ -90,14 +90,6 @@ smoke:
         echo "-> $ex"; \
         ./target/release/examples/$ex >/dev/null; \
     done
-
-# Hot-loop smoke: the fast/reference equivalence battery plus the hotloop
-# throughput bench in --quick mode (the bench exits non-zero if the
-# calendar and heap queue backends ever produce different trace digests).
-hotloop:
-    cargo build --release -p ladder-bench --offline
-    cargo test -q --offline --test hotloop_equivalence
-    ./target/release/hotloop --quick --jobs 2
 
 # Open-loop tail-latency SLO sweep: offered load x arrival process x
 # scheme, per-tenant p50/p99/p999 report per cell (see EXPERIMENTS.md).

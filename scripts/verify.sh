@@ -36,10 +36,10 @@ echo "==> clippy fixtures (hash-iter / wall-clock / ambient-rng / panic-policy /
 echo "==> perfbench package tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-# Domain-rule gate: per-file rules (lossy-cast / bench-flags /
-# flat-options) plus the cross-crate semantic pass (fast-ref-twin,
-# mergeable-coverage, unit-mixing, counter-overflow-policy) over every
-# workspace source file — fails on any finding.
+# Domain-rule gate: per-file rules (lossy-cast / bench-flags) plus the
+# cross-crate semantic pass (mergeable-coverage, unit-mixing,
+# counter-overflow-policy) over every workspace source file — fails on
+# any finding.
 # Exit codes are part of the CLI contract (0 clean / 1 findings / 2 usage
 # or I/O error) and both corpus self-checks assert them explicitly.
 # Runs before the slow bench smoke so violations fail fast.
@@ -75,7 +75,7 @@ cargo test -q -p ladder-bench --benches --offline
 echo "==> smoke: ladder-bench binaries (--quick --jobs 2)"
 for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
            ablations crash mna_table extension faults interleave service \
-           lifetime_campaign hotloop; do
+           lifetime_campaign; do
     echo "  -> $bin"
     ./target/release/"$bin" --quick --jobs 2 >/dev/null
 done
@@ -88,14 +88,6 @@ for ex in quickstart latency_explorer scheme_shootout kv_store_flush; do
     echo "  -> $ex"
     ./target/release/examples/"$ex" >/dev/null
 done
-
-# Hot-loop gate: the fast/reference equivalence battery (SWAR kernels,
-# quantized table lookup, calendar queue — including the differential
-# full quick run on both queue backends) must pass, and the hotloop
-# bench itself exits non-zero if the two backends' trace digests ever
-# diverge (it already ran in the smoke loop above).
-echo "==> hotloop: fast-path vs reference-path equivalence battery"
-cargo test -q --offline --test hotloop_equivalence >/dev/null
 
 # The --trace flag must produce valid-looking chrome://tracing JSON, and
 # the canonical --quick digests must match tests/golden/.
